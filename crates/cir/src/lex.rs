@@ -180,7 +180,12 @@ impl std::error::Error for LexError {}
 /// ```
 pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
     let bytes = src.as_bytes();
-    let mut toks = Vec::new();
+    // C text runs about three bytes a token, so one slot per two bytes
+    // lexes without reallocating (a reallocation holds two buffers at
+    // once), and the unused tail is returned at the end: the tokens stay
+    // live next to the whole tree while the parser runs, and a resident
+    // daemon keeps each worker's peak.
+    let mut toks = Vec::with_capacity(src.len() / 2 + 1);
     let mut i = 0usize;
     let err = |msg: &str, at: usize| LexError {
         message: msg.to_owned(),
@@ -376,6 +381,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
         tok: Tok::Eof,
         span: Span::new(src.len() as u32, src.len() as u32),
     });
+    toks.shrink_to_fit();
     Ok(toks)
 }
 

@@ -452,14 +452,17 @@ impl Client {
                             Recv::Corrupt
                         };
                     }
-                    let Ok(text) = String::from_utf8(buf) else {
+                    let Ok(mut text) = String::from_utf8(buf) else {
                         return Recv::Corrupt;
                     };
-                    if text.trim().is_empty() {
+                    // Trimmed in place: a response can be large.
+                    text.truncate(text.trim_end().len());
+                    text.drain(..text.len() - text.trim_start().len());
+                    if text.is_empty() {
                         buf = Vec::new();
                         continue;
                     }
-                    return Recv::Line(text.trim().to_owned());
+                    return Recv::Line(text);
                 }
                 Err(e)
                     if matches!(

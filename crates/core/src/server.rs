@@ -543,12 +543,15 @@ enum ConnVerdict {
 /// flag, so both transports get identical reader-defense behavior.
 struct Framer {
     pending: Vec<u8>,
+    /// Length of the prefix of `pending` already searched for a newline,
+    /// so a long line arriving in many reads is scanned once in total.
+    scanned: usize,
     discarding: bool,
 }
 
 impl Framer {
     fn new() -> Framer {
-        Framer { pending: Vec::new(), discarding: false }
+        Framer { pending: Vec::new(), scanned: 0, discarding: false }
     }
 
     /// Ingests freshly-read bytes, routing every complete line. Returns
@@ -556,49 +559,75 @@ impl Framer {
     /// handled).
     fn ingest(&mut self, server: &Arc<Server>, conn: &Arc<Conn>, bytes: &[u8]) -> bool {
         self.pending.extend_from_slice(bytes);
-        loop {
-            if let Some(eol) = self.pending.iter().position(|b| *b == b'\n') {
-                let line: Vec<u8> = self.pending.drain(..=eol).collect();
-                if self.discarding {
-                    // The tail of a line already rejected as oversized.
-                    self.discarding = false;
-                    continue;
-                }
-                match std::str::from_utf8(&line[..eol]) {
-                    Ok(text) if text.trim().is_empty() => {}
-                    Ok(text) => {
-                        if server.route(conn, text.trim()) {
-                            return true;
-                        }
+        // Lines are routed in place; the consumed prefix is dropped once
+        // at the end rather than shifting the buffer per line.
+        let mut line_start = 0;
+        let mut stop = false;
+        while let Some(nl) = self.pending[self.scanned..].iter().position(|b| *b == b'\n') {
+            let eol = self.scanned + nl;
+            let line = &self.pending[line_start..eol];
+            self.scanned = eol + 1;
+            line_start = eol + 1;
+            if self.discarding {
+                // The tail of a line already rejected as oversized.
+                self.discarding = false;
+                continue;
+            }
+            // Whether a line arrived in one read or many, the same
+            // length limit applies.
+            if too_long(server, line.len()) {
+                reject_oversized(server, conn);
+                continue;
+            }
+            match std::str::from_utf8(line) {
+                Ok(text) if text.trim().is_empty() => {}
+                Ok(text) => {
+                    if server.route(conn, text.trim()) {
+                        stop = true;
+                        break;
                     }
-                    Err(_) => {
-                        server.stats.bad_utf8.fetch_add(1, Ordering::Relaxed);
-                        server.respond_err(conn, "null", "input", "request line is not valid UTF-8");
-                    }
                 }
-            } else {
-                if !self.discarding
-                    && server.cfg.max_line_bytes > 0
-                    && self.pending.len() > server.cfg.max_line_bytes
-                {
-                    server.stats.oversized.fetch_add(1, Ordering::Relaxed);
-                    server.respond_err(
-                        conn,
-                        "null",
-                        "input",
-                        &format!(
-                            "request line exceeds {} bytes; discarding \
-                             through the next newline",
-                            server.cfg.max_line_bytes
-                        ),
-                    );
-                    self.pending.clear();
-                    self.discarding = true;
+                Err(_) => {
+                    server.stats.bad_utf8.fetch_add(1, Ordering::Relaxed);
+                    server.respond_err(conn, "null", "input", "request line is not valid UTF-8");
                 }
-                return false;
             }
         }
+        self.pending.drain(..line_start);
+        if stop {
+            // `shutdown` cut the pass short: what is left is unsearched.
+            self.scanned = 0;
+            return true;
+        }
+        self.scanned = self.pending.len();
+        if !self.discarding && too_long(server, self.pending.len()) {
+            reject_oversized(server, conn);
+            self.discarding = true;
+        }
+        if self.discarding {
+            // The partial line is never routed, so it is not kept either.
+            self.pending.clear();
+            self.scanned = 0;
+        }
+        false
     }
+}
+
+fn too_long(server: &Server, len: usize) -> bool {
+    server.cfg.max_line_bytes > 0 && len > server.cfg.max_line_bytes
+}
+
+fn reject_oversized(server: &Server, conn: &Arc<Conn>) {
+    server.stats.oversized.fetch_add(1, Ordering::Relaxed);
+    server.respond_err(
+        conn,
+        "null",
+        "input",
+        &format!(
+            "request line exceeds {} bytes; discarding through the next newline",
+            server.cfg.max_line_bytes
+        ),
+    );
 }
 
 /// The resident checking server. Construct once, share behind an
@@ -1068,13 +1097,16 @@ impl Server {
     /// Returns true when the connection should stop reading (a
     /// `shutdown` request was handled).
     fn route(self: &Arc<Server>, conn: &Arc<Conn>, line: &str) -> bool {
-        let doc = match Json::parse(line) {
+        let mut doc = match Json::parse(line) {
             Ok(doc) => doc,
             Err(e) => {
                 self.respond_err(conn, "null", "parse", &e.to_string());
                 return false;
             }
         };
+        // Moved out, not copied: a `check` source can be a large share
+        // of the line. It is validated below, after `id` and `method`.
+        let params = doc.take("params");
         // The id is echoed verbatim; it must exist and be a string or
         // number so responses are always attributable.
         let id = match doc.get("id") {
@@ -1098,9 +1130,9 @@ impl Server {
                 }
             },
         };
-        let params = match doc.get("params") {
+        let params = match params {
             None | Some(Json::Null) => Json::Obj(Vec::new()),
-            Some(obj @ Json::Obj(_)) => obj.clone(),
+            Some(obj @ Json::Obj(_)) => obj,
             Some(_) => {
                 self.respond_err(conn, &id, "invalid", "`params` must be an object");
                 return false;
@@ -2351,6 +2383,46 @@ mod tests {
             after.get("result").and_then(|r| r.get("oversized")).and_then(Json::as_u64),
             Some(1)
         );
+        drop(reader);
+        drop(client);
+        handle.join().expect("connection thread");
+    }
+
+    #[test]
+    fn lines_frame_identically_however_the_bytes_are_split() {
+        let (server, _cancel) = spawn_server(ServeConfig {
+            max_line_bytes: 256,
+            ..ServeConfig::default()
+        });
+        let (mut client, handle) = connect(&server);
+        let mut reader = BufReader::new(client.try_clone().expect("clone"));
+        // Three requests and an oversized line, cut at arbitrary points:
+        // mid-line, across line ends, and through the oversized line's
+        // discarded tail.
+        let oversized = format!("{{\"id\":9,\"method\":\"{}\"}}\n", "x".repeat(1000));
+        let stream = format!(
+            "{{\"id\":1,\"method\":\"health\"}}\n{{\"id\":2,\"method\":\"health\"}}\n\
+             {oversized}{{\"id\":3,\"method\":\"stats\"}}\n"
+        );
+        for chunk in stream.as_bytes().chunks(37) {
+            client.write_all(chunk).expect("chunk written");
+            client.flush().expect("flushed");
+        }
+        let mut answers = Vec::new();
+        for _ in 0..4 {
+            let mut response = String::new();
+            reader.read_line(&mut response).expect("response read");
+            answers.push(Json::parse(response.trim()).expect("response is json"));
+        }
+        let ids: Vec<String> =
+            answers.iter().map(|a| a.get("id").map_or("-".into(), Json::to_string)).collect();
+        assert_eq!(ids, ["1", "2", "null", "3"]);
+        assert_eq!(
+            answers[2].get("error").and_then(|e| e.get("code")).and_then(Json::as_str),
+            Some("input")
+        );
+        let stats = answers[3].get("result");
+        assert_eq!(stats.and_then(|r| r.get("oversized")).and_then(Json::as_u64), Some(1));
         drop(reader);
         drop(client);
         handle.join().expect("connection thread");

@@ -14,9 +14,11 @@
 //!
 //! The cache is two-level:
 //!
-//! * an **in-memory map** behind a `RwLock`, shared by all workers of a
-//!   parallel run (reads take the read lock; the map is tiny compared to
-//!   a proof search, so contention is negligible);
+//! * an **in-memory table** behind a `RwLock`, shared by all workers of
+//!   a parallel run (reads take the read lock; a lookup is tiny compared
+//!   to a proof search, so contention is negligible). It is compact:
+//!   `Proved` fingerprints live in a set at 17 bytes a slot, and only
+//!   the rare refutations, which carry a countermodel, in a map;
 //! * an optional **on-disk store** (`stqc --cache-dir DIR`): an
 //!   append-only journal designed to survive crashes, torn writes, and
 //!   concurrent writers.
@@ -64,10 +66,13 @@
 //! and persisted is therefore served warm here, counted in
 //! [`ProofCache::follow_hits`] (and as a hit, not a miss). A cheap
 //! `stat(2)` probe skips the lock and the read entirely when nothing
-//! changed; an inode change (a peer compacted) or a shrink triggers a
-//! full re-scan with the header re-verified; only complete,
-//! newline-terminated lines are consumed, so a peer's in-flight append
-//! is never half-read.
+//! changed. Otherwise the follow — and every append, which folds peer
+//! entries first — reads the header line and only the bytes after the
+//! cursor, so its I/O is proportional to what peers appended, not to the
+//! journal's size. The header is re-verified on every such read; an
+//! inode change (a peer compacted) or a shrink triggers a full re-scan;
+//! only complete, newline-terminated lines are consumed, so a peer's
+//! in-flight append is never half-read.
 //!
 //! A file whose header names a different [`PROVER_VERSION`] (or cannot
 //! be parsed) is **ignored, not trusted**: its entries are counted as
@@ -79,9 +84,9 @@
 //! can inject full-disk and torn-write faults at specific write
 //! operations and prove that neither poisons a verdict.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
@@ -152,6 +157,63 @@ enum DiskState {
     Corrupt,
 }
 
+/// The resident entries. A fingerprint is in at most one of the two
+/// tables. Nearly every entry is `Proved`, and a set slot is 17 bytes
+/// where a map slot holding a [`CachedProof`] is 48 (the `u128` key
+/// forces 16-byte alignment).
+#[derive(Debug, Default)]
+struct Entries {
+    proved: HashSet<Fingerprint>,
+    refuted: HashMap<Fingerprint, Vec<String>>,
+}
+
+impl Entries {
+    fn get(&self, fp: Fingerprint) -> Option<CachedProof> {
+        if self.proved.contains(&fp) {
+            return Some(CachedProof::Proved);
+        }
+        let model = self.refuted.get(&fp)?;
+        Some(CachedProof::Refuted { model: model.clone() })
+    }
+
+    fn contains(&self, fp: Fingerprint) -> bool {
+        self.proved.contains(&fp) || self.refuted.contains_key(&fp)
+    }
+
+    /// Stores `proof` under `fp`, replacing whatever was there (last
+    /// wins). Returns whether the stored outcome changed.
+    fn insert(&mut self, fp: Fingerprint, proof: CachedProof) -> bool {
+        match proof {
+            CachedProof::Proved => {
+                let was_refuted = self.refuted.remove(&fp).is_some();
+                self.proved.insert(fp) || was_refuted
+            }
+            CachedProof::Refuted { model } => {
+                if self.refuted.get(&fp) == Some(&model) {
+                    return false;
+                }
+                self.proved.remove(&fp);
+                self.refuted.insert(fp, model);
+                true
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.proved.len() + self.refuted.len()
+    }
+
+    /// Every entry, in fingerprint order (the compacted journal's order).
+    fn sorted(&self) -> Vec<(Fingerprint, CachedProof)> {
+        let proved = self.proved.iter().map(|fp| (*fp, CachedProof::Proved));
+        let refuted = (self.refuted.iter())
+            .map(|(fp, model)| (*fp, CachedProof::Refuted { model: model.clone() }));
+        let mut all: Vec<_> = proved.chain(refuted).collect();
+        all.sort_by_key(|(fp, _)| *fp);
+        all
+    }
+}
+
 /// How far into the on-disk journal this cache has read: the file's
 /// identity (inode on Unix) and the byte offset up to which entries have
 /// been folded into the in-memory map. `offset == u64::MAX` marks a
@@ -168,7 +230,7 @@ struct JournalPos {
 /// to conclusive proof outcomes. See the module docs for semantics.
 #[derive(Debug)]
 pub struct ProofCache {
-    mem: RwLock<HashMap<Fingerprint, CachedProof>>,
+    mem: RwLock<Entries>,
     /// Entries recorded since the last successful persist, in record
     /// order — the journal's append batch.
     dirty: Mutex<Vec<(Fingerprint, CachedProof)>>,
@@ -194,7 +256,7 @@ impl ProofCache {
     /// A purely in-memory cache (no disk backing).
     pub fn in_memory() -> ProofCache {
         ProofCache {
-            mem: RwLock::new(HashMap::new()),
+            mem: RwLock::new(Entries::default()),
             dirty: Mutex::new(Vec::new()),
             state: Mutex::new(DiskState::Fresh),
             pos: Mutex::new(JournalPos::default()),
@@ -229,63 +291,60 @@ impl ProofCache {
         let file = dir.join(CACHE_FILE);
         if file.exists() {
             let _lock = filelock::lock_exclusive(&dir.join(LOCK_FILE))?;
-            let text = fs::read_to_string(&file)?;
-            let meta = fs::metadata(&file)?;
-            let state = cache.load_store(&text);
+            let read = read_journal(&file, JournalPos::default())?;
+            let state = cache.load_store(&read);
             *cache.state.lock().expect("state lock") = state;
             *cache.pos.lock().expect("pos lock") = JournalPos {
-                ino: file_id(&meta),
-                offset: text.len() as u64,
+                ino: read.id,
+                offset: read.bytes.len() as u64,
             };
         }
         Ok(cache)
     }
 
-    /// Parses a journal into the in-memory map, invalidating anything
-    /// untrustworthy, and reports the journal's health.
-    fn load_store(&self, text: &str) -> DiskState {
-        let mut lines = text.lines();
-        let header_ok = lines.next().is_some_and(|header| {
-            let mut parts = header.split(' ');
-            parts.next() == Some("stq-proof-cache")
-                && parts.next() == Some(FORMAT_VERSION)
-                && parts.next() == Some(PROVER_VERSION)
-                && parts.next().is_none()
-        });
-        if !header_ok {
+    /// Parses a whole journal, read from the top, into memory,
+    /// invalidating anything untrustworthy, and reports the journal's
+    /// health.
+    fn load_store(&self, read: &JournalRead) -> DiskState {
+        let mut lines = read.bytes.split(|&b| b == b'\n');
+        lines.next(); // the header line, checked by `read_journal`
+        if !read.header_ok {
             // Count what we refused to trust; `max(1)` so even an
             // entry-less stale (or zero-length) file registers as an
             // invalidation.
-            let stale = text.lines().skip(1).filter(|l| !l.is_empty()).count() as u64;
+            let stale = lines.filter(|l| !l.is_empty()).count() as u64;
             self.invalidations.fetch_add(stale.max(1), Ordering::Relaxed);
             return DiskState::Corrupt;
         }
-        let mut corrupt = false;
-        let mut map = self.mem.write().expect("cache lock");
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            match parse_entry(line) {
-                Some((fp, proof)) => {
-                    // Duplicates (concurrent writers, re-proved entries)
-                    // resolve last-wins; the prover's determinism makes
-                    // the values identical anyway.
-                    map.insert(fp, proof);
-                }
-                None => {
-                    // A torn tail, a flipped bit, a hand-edited line:
-                    // drop exactly this entry, keep the rest.
-                    self.invalidations.fetch_add(1, Ordering::Relaxed);
-                    corrupt = true;
-                }
-            }
-        }
-        if corrupt {
+        // Everything after the header, a torn final line included: it
+        // fails its CRC and is counted, so the next persist compacts.
+        let body = &read.bytes[current_header().len() + 1..];
+        if self.fold_lines(body) > 0 {
             DiskState::Corrupt
         } else {
             DiskState::Clean
         }
+    }
+
+    /// Folds journal entry lines into memory. Duplicates (concurrent
+    /// writers, re-proved entries) resolve last-wins; the prover's
+    /// determinism makes the values identical anyway. A line that fails
+    /// to parse or fails its CRC — a torn tail, a flipped bit, a
+    /// hand-edited line — is dropped alone and counted as an
+    /// invalidation. Returns how many lines were dropped.
+    fn fold_lines(&self, bytes: &[u8]) -> u64 {
+        let mut dropped = 0;
+        let mut entries = self.mem.write().expect("cache lock");
+        for line in bytes.split(|&b| b == b'\n').filter(|l| !l.is_empty()) {
+            match std::str::from_utf8(line).ok().and_then(parse_entry) {
+                Some((fp, proof)) => {
+                    entries.insert(fp, proof);
+                }
+                None => dropped += 1,
+            }
+        }
+        self.invalidations.fetch_add(dropped, Ordering::Relaxed);
+        dropped
     }
 
     /// Looks up a fingerprint, counting the hit or miss. On an in-memory
@@ -294,121 +353,80 @@ impl ProofCache {
     /// last scan is adopted and served as a hit — counted additionally
     /// in [`ProofCache::follow_hits`] — not conceded as a miss.
     pub fn lookup(&self, fp: Fingerprint) -> Option<CachedProof> {
-        let found = self.mem.read().expect("cache lock").get(&fp).cloned();
+        let found = self.mem.read().expect("cache lock").get(fp);
         if let Some(proof) = found {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(proof);
         }
-        if self.dir.is_some() && self.follow() {
-            let found = self.mem.read().expect("cache lock").get(&fp).cloned();
-            if let Some(proof) = found {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.follow_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(proof);
-            }
+        if let Some(proof) = self.follow(fp) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.follow_hits.fetch_add(1, Ordering::Relaxed);
+            return Some(proof);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         None
     }
 
-    /// The journal-follow pass: re-scans whatever a peer appended to the
-    /// journal since our last scan and folds it into the in-memory map.
-    /// Returns whether anything new was adopted. Never an error: a
-    /// vanished file, a lock failure, or an untrusted journal simply
-    /// declines to follow — the caller re-proves, which is always sound.
-    fn follow(&self) -> bool {
-        let Some(dir) = &self.dir else {
-            return false;
-        };
+    /// The journal-follow pass for a lookup of `fp` that missed memory:
+    /// re-scans whatever a peer appended to the journal since our last
+    /// scan, folds it into memory, and returns `fp`'s entry if it is now
+    /// known. Never an error: a vanished file, a lock failure, or an
+    /// untrusted journal simply declines to follow — the caller
+    /// re-proves, which is always sound.
+    fn follow(&self, fp: Fingerprint) -> Option<CachedProof> {
+        let dir = self.dir.as_ref()?;
         if *self.state.lock().expect("state lock") == DiskState::Corrupt {
             // Our own load already distrusts this journal; adopting its
             // tail would resurrect what we invalidated.
-            return false;
+            return None;
         }
         let file = dir.join(CACHE_FILE);
         let mut pos = self.pos.lock().expect("pos lock");
+        // A concurrent lookup may have followed while we waited for the
+        // cursor; what it adopted is in memory now, and the probe below
+        // would see nothing new.
+        if let Some(proof) = self.mem.read().expect("cache lock").get(fp) {
+            return Some(proof);
+        }
         // Cheap probe: same file, same length — nothing appended, no
         // lock taken, no bytes read.
-        let Ok(meta) = fs::metadata(&file) else {
-            return false;
-        };
+        let meta = fs::metadata(&file).ok()?;
         if file_id(&meta) == pos.ino && meta.len() == pos.offset {
-            return false;
+            return None;
         }
-        let Ok(_lock) = filelock::lock_exclusive(&dir.join(LOCK_FILE)) else {
-            return false;
-        };
+        let _lock = filelock::lock_exclusive(&dir.join(LOCK_FILE)).ok()?;
         // Re-read under the lock: the probe may have raced a compaction
         // rename, and an appender's partial flush is excluded by the
         // complete-lines-only rule in `fold_tail`.
-        let Ok(text) = fs::read_to_string(&file) else {
-            return false;
-        };
-        let Ok(meta) = fs::metadata(&file) else {
-            return false;
-        };
-        let id = file_id(&meta);
-        let rescan = id != pos.ino || (text.len() as u64) < pos.offset;
-        if rescan && text.lines().next() != Some(current_header().as_str()) {
+        let read = read_journal(&file, *pos).ok()?;
+        if !read.header_ok {
             // A peer installed a journal we must not trust (stale
             // prover version, foreign format). The MAX-offset sentinel
             // keeps the header re-checked on every miss until our own
             // persist compacts the file back to health.
-            *pos = JournalPos { ino: id, offset: u64::MAX };
-            return false;
+            *pos = JournalPos { ino: read.id, offset: u64::MAX };
+            return None;
         }
-        self.fold_tail(&text, &mut pos, id) > 0
+        self.fold_tail(&read, &mut pos);
+        self.mem.read().expect("cache lock").get(fp)
     }
 
-    /// Folds the journal bytes beyond `pos` into the in-memory map,
-    /// advancing the cursor past exactly the complete, newline-terminated
-    /// lines consumed. Entries already known stay as they are (the
-    /// prover is deterministic, so a duplicate is identical anyway);
-    /// complete lines that fail to parse or fail their CRC are counted
-    /// as invalidations and skipped. Returns how many entries were newly
-    /// adopted. The caller holds the advisory lock and, when scanning
-    /// from the top, has already verified the header.
-    fn fold_tail(&self, text: &str, pos: &mut JournalPos, id: u64) -> usize {
-        let rescan = id != pos.ino || (text.len() as u64) < pos.offset;
-        let mut start = if rescan { 0 } else { pos.offset as usize };
-        if start == 0 {
-            match text.find('\n') {
-                Some(nl) => start = nl + 1,
-                None => {
-                    *pos = JournalPos { ino: id, offset: 0 };
-                    return 0;
-                }
-            }
+    /// Folds the complete, newline-terminated entry lines of `read` into
+    /// memory and moves the cursor past exactly those lines. Complete
+    /// lines that fail to parse or fail their CRC are counted as
+    /// invalidations and skipped. The caller holds the advisory lock and
+    /// has checked the header.
+    fn fold_tail(&self, read: &JournalRead, pos: &mut JournalPos) {
+        let (mut offset, mut tail) = (read.start, &read.bytes[..]);
+        if offset == 0 {
+            // Read from the top: step over the (verified) header line.
+            let header = current_header().len() + 1;
+            offset = header as u64;
+            tail = &tail[header..];
         }
-        let tail = &text[start..];
-        let Some(last_nl) = tail.rfind('\n') else {
-            *pos = JournalPos { ino: id, offset: start as u64 };
-            return 0;
-        };
-        let mut adopted = 0;
-        {
-            let mut map = self.mem.write().expect("cache lock");
-            for line in tail[..=last_nl].lines() {
-                if line.is_empty() {
-                    continue;
-                }
-                match parse_entry(line) {
-                    Some((fp, proof)) => {
-                        if map.insert(fp, proof.clone()) != Some(proof) {
-                            adopted += 1;
-                        }
-                    }
-                    None => {
-                        self.invalidations.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        *pos = JournalPos {
-            ino: id,
-            offset: (start + last_nl + 1) as u64,
-        };
-        adopted
+        let complete = tail.iter().rposition(|&b| b == b'\n').map_or(0, |nl| nl + 1);
+        self.fold_lines(&tail[..complete]);
+        *pos = JournalPos { ino: read.id, offset: offset + complete as u64 };
     }
 
     /// Records a conclusive outcome under `fp`, marking it dirty for the
@@ -418,10 +436,7 @@ impl ProofCache {
     /// resume: unreached work was never cached, so it re-proves.
     pub fn record(&self, fp: Fingerprint, outcome: &Outcome) {
         if let Some(proof) = CachedProof::from_outcome(outcome) {
-            let fresh = {
-                let mut map = self.mem.write().expect("cache lock");
-                map.insert(fp, proof.clone()) != Some(proof.clone())
-            };
+            let fresh = self.mem.write().expect("cache lock").insert(fp, proof.clone());
             if fresh {
                 self.dirty
                     .lock()
@@ -479,11 +494,11 @@ impl ProofCache {
             // *under the lock* (a peer may have replaced the journal
             // since our load), fold in whatever peers appended since our
             // last scan, and only then append our own batch.
-            let text = fs::read_to_string(&file)?;
-            if text.lines().next() != Some(current_header().as_str()) {
+            let read = read_journal(&file, *pos)?;
+            if !read.header_ok {
                 self.compact_locked(dir, &mut pos)?
             } else {
-                self.fold_tail(&text, &mut pos, file_id(&fs::metadata(&file)?));
+                self.fold_tail(&read, &mut pos);
                 let mut out = String::new();
                 for (fp, proof) in dirty.iter() {
                     out.push_str(&render_entry(*fp, proof));
@@ -494,7 +509,7 @@ impl ProofCache {
                 // The append lands at the true end of file, which may
                 // sit past the last complete line `fold_tail` stopped
                 // at (a dead peer's torn fragment); skip straight over.
-                pos.offset = (text.len() + out.len()) as u64;
+                pos.offset = read.start + (read.bytes.len() + out.len()) as u64;
                 PersistOutcome::Appended(dirty.len())
             }
         };
@@ -536,36 +551,28 @@ impl ProofCache {
         // here would only double-count, so parse failures are skipped
         // silently.
         let file = dir.join(CACHE_FILE);
-        let mut merged: HashMap<Fingerprint, CachedProof> = HashMap::new();
-        if let Ok(text) = fs::read_to_string(&file) {
-            let mut lines = text.lines();
-            let current = lines.next().is_some_and(|h| h == current_header());
-            if current {
-                for line in lines {
-                    if let Some((fp, proof)) = parse_entry(line) {
-                        merged.insert(fp, proof);
-                    }
+        let disk = read_journal(&file, JournalPos::default()).ok().filter(|r| r.header_ok);
+        let entries = {
+            let mut mem = self.mem.write().expect("cache lock");
+            if let Some(read) = disk {
+                // Ours win over the disk's (identical anyway — the
+                // prover is deterministic); among peer-only entries the
+                // last wins, as on load. They are adopted into memory:
+                // the cursor jumps to the end of the compacted file
+                // below, so this is their only chance to be followed.
+                let peer: Vec<_> = (read.bytes.split(|&b| b == b'\n').skip(1))
+                    .filter_map(|line| std::str::from_utf8(line).ok().and_then(parse_entry))
+                    .filter(|(fp, _)| !mem.contains(*fp))
+                    .collect();
+                for (fp, proof) in peer {
+                    mem.insert(fp, proof);
                 }
             }
-        }
-        {
-            // Ours win over the disk's (identical anyway — the prover
-            // is deterministic), and peer-only entries are adopted into
-            // memory: the cursor jumps to the end of the compacted file
-            // below, so this is their only chance to be followed.
-            let mut map = self.mem.write().expect("cache lock");
-            for (fp, proof) in map.iter() {
-                merged.insert(*fp, proof.clone());
-            }
-            for (fp, proof) in merged.iter() {
-                map.entry(*fp).or_insert_with(|| proof.clone());
-            }
-        }
-        let mut entries: Vec<_> = merged.iter().collect();
-        entries.sort_by_key(|(fp, _)| **fp);
+            mem.sorted()
+        };
         let mut out = format!("{}\n", current_header());
         for (fp, proof) in &entries {
-            out.push_str(&render_entry(**fp, proof));
+            out.push_str(&render_entry(*fp, proof));
         }
         let tmp = dir.join(format!("{CACHE_FILE}.tmp.{}", std::process::id()));
         let write_result = (|| -> io::Result<()> {
@@ -642,6 +649,37 @@ impl ProofCache {
 /// The exact header line a trustworthy journal must start with.
 fn current_header() -> String {
     format!("stq-proof-cache {FORMAT_VERSION} {PROVER_VERSION}")
+}
+
+/// What one read of the journal saw, under the advisory lock.
+struct JournalRead {
+    /// The file's identity (see [`file_id`]).
+    id: u64,
+    /// Whether the file starts with the current header line.
+    header_ok: bool,
+    /// The file offset `bytes` starts at.
+    start: u64,
+    /// The file's bytes from `start` to its end.
+    bytes: Vec<u8>,
+}
+
+/// Reads the journal's header line and its bytes after the cursor
+/// `pos` — from the top when the file is not the one `pos` points into
+/// (a peer compacted it: new inode) or is shorter than `pos`. A follow
+/// or an append therefore reads what peers appended since the last
+/// scan, not the whole journal.
+fn read_journal(file: &Path, pos: JournalPos) -> io::Result<JournalRead> {
+    let mut f = fs::File::open(file)?;
+    let meta = f.metadata()?;
+    let id = file_id(&meta);
+    let header = current_header() + "\n";
+    let mut head = vec![0; header.len()];
+    let header_ok = f.read_exact(&mut head).is_ok() && head == header.as_bytes();
+    let start = if id != pos.ino || meta.len() < pos.offset { 0 } else { pos.offset };
+    f.seek(SeekFrom::Start(start))?;
+    let mut bytes = Vec::new();
+    f.read_to_end(&mut bytes)?;
+    Ok(JournalRead { id, header_ok, start, bytes })
 }
 
 /// The file's identity for journal-follow: the inode on Unix (rename
@@ -1400,5 +1438,143 @@ mod tests {
         // Any body mutation breaks the CRC.
         let tampered = line.replacen('R', "P", 1);
         assert_eq!(parse_entry(&tampered), None);
+    }
+
+    #[test]
+    fn proved_refuted_replacement_keeps_last_wins() {
+        let dir = tmpdir("replace");
+        let c = ProofCache::at_dir(&dir).unwrap();
+        c.record(fp(150), &proved());
+        c.record(fp(150), &refuted(&["z = 0"]));
+        let want = CachedProof::Refuted { model: vec!["z = 0".into()] };
+        assert_eq!(c.lookup(fp(150)), Some(want.clone()));
+        assert_eq!(c.dirty_len(), 2, "each change is journaled");
+        c.persist().unwrap();
+        assert_eq!(ProofCache::at_dir(&dir).unwrap().lookup(fp(150)), Some(want));
+
+        // And back: the journal now holds R, then P, for one
+        // fingerprint; a load replays them in order.
+        let again = ProofCache::at_dir(&dir).unwrap();
+        again.record(fp(150), &proved());
+        assert!(matches!(again.persist(), Ok(PersistOutcome::Appended(1))));
+        assert_eq!(again.lookup(fp(150)), Some(CachedProof::Proved));
+        let reloaded = ProofCache::at_dir(&dir).unwrap();
+        assert_eq!(reloaded.lookup(fp(150)), Some(CachedProof::Proved));
+        assert_eq!(reloaded.len(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn len_counts_each_fingerprint_once() {
+        let c = ProofCache::in_memory();
+        c.record(fp(160), &proved());
+        c.record(fp(160), &proved());
+        c.record(fp(161), &refuted(&["a = 1"]));
+        c.record(fp(161), &refuted(&["a = 1"]));
+        assert_eq!((c.len(), c.dirty_len()), (2, 2), "re-recording is no change");
+        c.record(fp(160), &refuted(&["b = 2"]));
+        c.record(fp(161), &proved());
+        assert_eq!(c.len(), 2, "a replacement moves the entry, never copies it");
+        c.record(fp(161), &refuted(&["a = 2"]));
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.lookup(fp(161)), Some(CachedProof::Refuted { model: vec!["a = 2".into()] }));
+    }
+
+    #[test]
+    fn compaction_writes_both_kinds_of_entry() {
+        let dir = tmpdir("compact-kinds");
+        let c = ProofCache::at_dir(&dir).unwrap();
+        c.record(fp(171), &refuted(&["x = 1", "y = 2"]));
+        c.record(fp(170), &proved());
+        c.record(fp(172), &proved());
+        assert!(matches!(c.compact(), Ok(PersistOutcome::Compacted(3))));
+        let text = fs::read_to_string(dir.join(CACHE_FILE)).unwrap();
+        let mut lines = text.lines();
+        assert_eq!(lines.next(), Some(current_header().as_str()));
+        // Fingerprint order, each kind rendered as on append.
+        let expected = [
+            render_entry(fp(170), &CachedProof::Proved),
+            render_entry(fp(171), &CachedProof::Refuted { model: vec!["x = 1".into(), "y = 2".into()] }),
+            render_entry(fp(172), &CachedProof::Proved),
+        ];
+        let rest: Vec<&str> = lines.collect();
+        assert_eq!(rest, expected.iter().map(|e| e.trim_end()).collect::<Vec<_>>());
+        let reloaded = ProofCache::at_dir(&dir).unwrap();
+        assert_eq!((reloaded.len(), reloaded.invalidations()), (3, 0));
+        assert_eq!(
+            reloaded.lookup(fp(171)),
+            Some(CachedProof::Refuted { model: vec!["x = 1".into(), "y = 2".into()] })
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn persist_after_a_peer_compaction_rescans_from_the_top() {
+        let dir = tmpdir("persist-rescan");
+        let seed = ProofCache::at_dir(&dir).unwrap();
+        seed.record(fp(180), &proved());
+        seed.persist().unwrap();
+        let a = ProofCache::at_dir(&dir).unwrap();
+        let b = ProofCache::at_dir(&dir).unwrap();
+
+        // a compacts (new inode) with an entry b never saw, sorted ahead
+        // of the entry at b's cursor; b's next append must notice the
+        // swap, fold the new file from the top and append after it.
+        a.record(fp(179), &refuted(&["q = 3"]));
+        a.compact().unwrap();
+        b.record(fp(182), &proved());
+        assert!(matches!(b.persist(), Ok(PersistOutcome::Appended(1))));
+        assert_eq!(b.lookup(fp(179)), Some(CachedProof::Refuted { model: vec!["q = 3".into()] }));
+        assert_eq!((b.misses(), b.follow_hits()), (0, 0), "folded by the persist itself");
+        let merged = ProofCache::at_dir(&dir).unwrap();
+        assert_eq!((merged.len(), merged.invalidations()), (3, 0));
+
+        // A swap to a journal with a stale header: the header is checked
+        // again under the lock, so b compacts instead of appending to a
+        // file it must not trust.
+        let evil = dir.join("evil");
+        fs::write(
+            &evil,
+            format!(
+                "stq-proof-cache {FORMAT_VERSION} stq-prover-0.0.0-ancient\n{}",
+                render_entry(fp(183), &CachedProof::Proved)
+            ),
+        )
+        .unwrap();
+        fs::rename(&evil, dir.join(CACHE_FILE)).unwrap();
+        b.record(fp(184), &proved());
+        assert!(matches!(b.persist(), Ok(PersistOutcome::Compacted(4))));
+        let healed = ProofCache::at_dir(&dir).unwrap();
+        assert_eq!((healed.len(), healed.invalidations()), (4, 0));
+        assert_eq!(healed.lookup(fp(183)), None, "stale entry stays dead");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_lookups_racing_one_follow_all_hit() {
+        let dir = tmpdir("follow-race");
+        let a = ProofCache::at_dir(&dir).unwrap();
+        let b = ProofCache::at_dir(&dir).unwrap();
+        for i in 0..64 {
+            a.record(fp(200 + i), &proved());
+        }
+        a.persist().unwrap();
+        // Workers of one parallel run look up the same fingerprints at
+        // once. Whichever follows first adopts the whole tail; the others
+        // wait for the cursor and must find the entries in memory then,
+        // not conclude from an unchanged journal that they are missing.
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for i in 0..64 {
+                        assert_eq!(b.lookup(fp(200 + i)), Some(CachedProof::Proved));
+                    }
+                });
+            }
+        });
+        assert_eq!((b.misses(), b.hits()), (0, 256));
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -15,6 +15,12 @@
 //! request `id`) is byte-faithful for everything but number formatting
 //! and string escapes.
 //!
+//! Parsing is linear in the length of the input: string contents are
+//! scanned once and copied in runs between escapes, and nesting is
+//! capped at a fixed depth. The daemon parses every request line on the
+//! thread that serves all its connections, so a line at the 1 MiB
+//! request limit must cost milliseconds, not seconds.
+//!
 //! # Examples
 //!
 //! ```
@@ -81,6 +87,19 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Removes an object member (first occurrence) and returns its
+    /// value, so a caller can keep a large member without copying it;
+    /// `None` for non-objects.
+    pub fn take(&mut self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(members) => {
+                let i = members.iter().position(|(k, _)| k == key)?;
+                Some(members.remove(i).1)
+            }
             _ => None,
         }
     }
@@ -309,6 +328,23 @@ impl<'a> Parser<'a> {
         self.eat(b'"', "`\"`")?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next byte that needs a decision in
+            // one slice. The run ends at an ASCII byte or at the end of
+            // input, so it is whole UTF-8 characters; each input byte is
+            // scanned and validated once, which keeps parsing linear.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            if run > 0 {
+                let text = std::str::from_utf8(&rest[..run]).map_err(|e| JsonError {
+                    offset: self.pos + e.valid_up_to(),
+                    message: "invalid UTF-8".to_owned(),
+                })?;
+                out.push_str(text);
+                self.pos += run;
+            }
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -328,52 +364,42 @@ impl<'a> Parser<'a> {
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
                             self.pos += 1; // past `u`, onto the first digit
-                            let unit = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by `\uXXXX` with a low one.
-                            let c = if (0xD800..0xDC00).contains(&unit) {
-                                if self.peek() == Some(b'\\')
-                                    && self.bytes.get(self.pos + 1) == Some(&b'u')
-                                {
-                                    self.pos += 2;
-                                    let low = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&low) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    let cp = 0x10000
-                                        + ((u32::from(unit) - 0xD800) << 10)
-                                        + (u32::from(low) - 0xDC00);
-                                    char::from_u32(cp)
-                                } else {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                            } else if (0xDC00..0xE000).contains(&unit) {
-                                return Err(self.err("lone low surrogate"));
-                            } else {
-                                char::from_u32(u32::from(unit))
-                            };
-                            match c {
-                                Some(c) => out.push(c),
-                                None => return Err(self.err("invalid unicode escape")),
-                            }
+                            let c = self.unicode_escape()?;
+                            out.push(c);
                             continue;
                         }
                         _ => return Err(self.err("invalid escape")),
                     }
                     self.pos += 1;
                 }
-                Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are trustworthy).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("peek saw a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
+    }
+
+    /// Decodes the hex digits of a `\u` escape at `pos` (a high
+    /// surrogate must be followed by `\uXXXX` with a low one), leaving
+    /// `pos` past the last digit.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let unit = self.hex4()?;
+        let c = if (0xD800..0xDC00).contains(&unit) {
+            if self.peek() == Some(b'\\') && self.bytes.get(self.pos + 1) == Some(&b'u') {
+                self.pos += 2;
+                let low = self.hex4()?;
+                if !(0xDC00..0xE000).contains(&low) {
+                    return Err(self.err("invalid low surrogate"));
+                }
+                let cp = 0x10000 + ((u32::from(unit) - 0xD800) << 10) + (u32::from(low) - 0xDC00);
+                char::from_u32(cp)
+            } else {
+                return Err(self.err("lone high surrogate"));
+            }
+        } else if (0xDC00..0xE000).contains(&unit) {
+            return Err(self.err("lone low surrogate"));
+        } else {
+            char::from_u32(u32::from(unit))
+        };
+        c.ok_or_else(|| self.err("invalid unicode escape"))
     }
 
     /// Reads 4 hex digits starting at `pos`, leaving `pos` past the last.
@@ -494,5 +520,84 @@ mod tests {
         let v = Json::parse("\"héllo → 世界\"").unwrap();
         assert_eq!(v.as_str(), Some("héllo → 世界"));
         assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn take_moves_a_member_out() {
+        let mut v = Json::parse(r#"{"a":1,"params":{"source":"x"},"b":2}"#).unwrap();
+        let params = v.take("params").unwrap();
+        assert_eq!(params.get("source").and_then(Json::as_str), Some("x"));
+        assert_eq!(v.to_string(), r#"{"a":1,"b":2}"#);
+        assert_eq!(v.take("params"), None);
+        assert_eq!(Json::Null.take("a"), None);
+    }
+
+    /// A string of long runs (ASCII, two-, three- and four-byte UTF-8)
+    /// with every escape kind in between, as JSON text and decoded.
+    fn long_runs_with_every_escape() -> (String, String) {
+        let escapes = [
+            (r#"\""#, "\""),
+            (r"\\", "\\"),
+            (r"\/", "/"),
+            (r"\b", "\u{8}"),
+            (r"\f", "\u{c}"),
+            (r"\n", "\n"),
+            (r"\r", "\r"),
+            (r"\t", "\t"),
+            (r"A", "A"),
+            (r"é", "é"),
+            (r"\u001f", "\u{1f}"),
+            (r"😀", "😀"),
+        ];
+        let runs = ["a".repeat(5000), "é".repeat(3000), "世".repeat(2000), "😀".repeat(1000)];
+        let (mut text, mut decoded) = (String::from("\""), String::new());
+        for (i, (escaped, plain)) in escapes.iter().enumerate() {
+            let run = &runs[i % runs.len()];
+            text.push_str(run);
+            text.push_str(escaped);
+            decoded.push_str(run);
+            decoded.push_str(plain);
+        }
+        text.push('"');
+        (text, decoded)
+    }
+
+    #[test]
+    fn long_runs_interleaved_with_every_escape_round_trip() {
+        let (text, decoded) = long_runs_with_every_escape();
+        let v = Json::parse(&text).unwrap();
+        assert_eq!(v.as_str(), Some(decoded.as_str()));
+        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+        assert_eq!(escape(&decoded), v.to_string()[1..v.to_string().len() - 1]);
+    }
+
+    #[test]
+    fn raw_control_byte_in_a_long_run_errors_at_its_offset() {
+        // The offsets are those of the control byte itself: 1 for the
+        // opening quote plus the bytes of the run before it.
+        let ascii = format!("\"{}\u{7}{}\"", "a".repeat(5000), "b".repeat(5000));
+        let err = Json::parse(&ascii).unwrap_err();
+        assert_eq!((err.offset, err.message.as_str()), (5001, "raw control character in string"));
+        let wide = format!("[\"{}\n\"]", "é".repeat(3000));
+        let err = Json::parse(&wide).unwrap_err();
+        assert_eq!((err.offset, err.message.as_str()), (6002, "raw control character in string"));
+        let after_escape = format!("\"{}\\n{}\u{0}\"", "x".repeat(100), "é".repeat(10));
+        assert_eq!(Json::parse(&after_escape).unwrap_err().offset, 123);
+    }
+
+    #[test]
+    fn a_mebibyte_string_document_parses_and_round_trips() {
+        let (_, decoded) = long_runs_with_every_escape();
+        let mut source = String::new();
+        while source.len() < 1 << 20 {
+            source.push_str(&decoded);
+        }
+        let doc = Json::Obj(vec![
+            ("id".to_owned(), Json::Num(1.0)),
+            ("params".to_owned(), Json::Obj(vec![("source".to_owned(), Json::Str(source))])),
+        ]);
+        let text = doc.to_string();
+        assert!(text.len() > 1 << 20);
+        assert_eq!(Json::parse(&text).unwrap(), doc);
     }
 }

@@ -2267,6 +2267,73 @@ struct ChaosRequest {
     params: Option<String>,
 }
 
+/// Shared progress of a chaos campaign's client threads.
+#[cfg(unix)]
+#[derive(Default)]
+struct ChaosProgress {
+    /// Requests answered so far.
+    resolved: std::sync::atomic::AtomicU64,
+    /// Set once the mid-campaign kill has landed, or once it never will
+    /// matter because a client gave up. Held-back requests wait for it.
+    released: std::sync::atomic::AtomicBool,
+}
+
+#[cfg(unix)]
+impl ChaosProgress {
+    /// Blocks until `n` requests have resolved or a client gave up.
+    fn wait_for(&self, n: u64) {
+        use std::sync::atomic::Ordering;
+        while self.resolved.load(Ordering::Relaxed) < n && !self.released.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    fn release(&self) {
+        self.released.store(true, std::sync::atomic::Ordering::Release);
+    }
+}
+
+/// One chaos client's answers (schedule index, canonical answer) and
+/// counters, or the request it could not resolve.
+#[cfg(unix)]
+type ChaosClientOutcome = Result<(Vec<(usize, String)>, stq_core::ClientStats), String>;
+
+/// Runs chaos client `c` of `clients`: it owns schedule indices c, c+N,
+/// c+2N, … Requests from index `gate` on wait until the mid-campaign
+/// kill has landed, so the kill falls inside the campaign however fast
+/// the daemon answers; up to one request per client may still be in
+/// flight when it lands.
+#[cfg(unix)]
+fn chaos_client(
+    cfg: stq_core::ClientConfig,
+    schedule: &[ChaosRequest],
+    c: usize,
+    clients: usize,
+    gate: usize,
+    progress: &ChaosProgress,
+) -> ChaosClientOutcome {
+    use std::sync::atomic::Ordering;
+    let mut client = stq_core::Client::new(cfg);
+    let mut answers = Vec::new();
+    for idx in (c..schedule.len()).step_by(clients) {
+        while idx >= gate && !progress.released.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let req = &schedule[idx];
+        match client.call(req.method, req.params.as_deref(), None) {
+            Ok(outcome) => {
+                answers.push((idx, chaos_canon(req.method, &outcome.doc)));
+                progress.resolved.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(e) => {
+                progress.release();
+                return Err(format!("request #{idx} ({}): {e}", req.method));
+            }
+        }
+    }
+    Ok((answers, client.stats()))
+}
+
 /// Generates the seeded request schedule: full and named proves, clean
 /// and faulty checks, stats/health probes. Every method is idempotent
 /// and read-only, so the canonical answers are independent of request
@@ -2399,7 +2466,6 @@ fn chaos_canon(method: &str, doc: &stq_util::json::Json) -> String {
 /// [`chaos_serve_multi`].
 #[cfg(unix)]
 fn chaos_serve(args: &[String]) -> ExitCode {
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Instant;
     use stq_util::json::Json;
@@ -2571,56 +2637,43 @@ fn chaos_serve(args: &[String]) -> ExitCode {
         Err(e) => return give_up(&mut daemon, input_err(format!("warmup stats failed: {e}"))),
     };
 
-    // The concurrent campaign: client `c` owns indices c, c+N, c+2N, …
-    let resolved = Arc::new(AtomicU64::new(0));
+    // The concurrent campaign (see [`chaos_client`]).
+    let progress = Arc::new(ChaosProgress::default());
+    let half = (count / 2).max(1);
+    let gate = if kill_worker { half + clients } else { usize::MAX };
     let started = Instant::now();
-    type CampaignOutcome = Result<(Vec<(usize, String)>, stq_core::ClientStats), String>;
-    let workers: Vec<std::thread::JoinHandle<CampaignOutcome>> = (0..clients)
+    let workers: Vec<std::thread::JoinHandle<ChaosClientOutcome>> = (0..clients)
         .map(|c| {
             let schedule = Arc::clone(&schedule);
-            let socket = socket.clone();
-            let resolved = Arc::clone(&resolved);
+            let progress = Arc::clone(&progress);
             let cfg = client_cfg(unix_ep(&socket), 0xC0_0000 + c as u64);
-            std::thread::spawn(move || {
-                let mut client = stq_core::Client::new(cfg);
-                let mut answers = Vec::new();
-                let mut idx = c;
-                while idx < schedule.len() {
-                    let req = &schedule[idx];
-                    match client.call(req.method, req.params.as_deref(), None) {
-                        Ok(outcome) => {
-                            answers.push((idx, chaos_canon(req.method, &outcome.doc)));
-                            resolved.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(e) => return Err(format!("request #{idx} ({}): {e}", req.method)),
-                    }
-                    idx += clients;
-                }
-                Ok((answers, client.stats()))
-            })
+            std::thread::spawn(move || chaos_client(cfg, &schedule, c, clients, gate, &progress))
         })
         .collect();
 
     // Mid-campaign worker assassination: once half the requests have
-    // resolved, SIGKILL the current worker and wait for the supervisor
-    // to install a successor (observed as a pid-file change).
+    // resolved, SIGKILL the current worker, release the held-back
+    // requests, and wait for the supervisor to install a successor
+    // (observed as a pid-file change).
     let killer: Option<std::thread::JoinHandle<Result<u64, String>>> = kill_worker.then(|| {
-        let resolved = Arc::clone(&resolved);
+        let progress = Arc::clone(&progress);
         let pid_file = pid_file.clone();
-        let half = (count / 2).max(1) as u64;
         std::thread::spawn(move || {
-            while resolved.load(Ordering::Relaxed) < half {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            let old = fs::read_to_string(&pid_file)
-                .map_err(|e| format!("cannot read {}: {e}", pid_file.display()))?;
-            let pid: u32 = old
-                .trim()
-                .parse()
-                .map_err(|_| format!("{} does not hold a pid", pid_file.display()))?;
-            if !sig::send(pid, sig::SIGKILL) {
-                return Err(format!("cannot SIGKILL worker {pid}"));
-            }
+            progress.wait_for(half as u64);
+            let killed = (|| {
+                let old = fs::read_to_string(&pid_file)
+                    .map_err(|e| format!("cannot read {}: {e}", pid_file.display()))?;
+                let pid: u32 = old
+                    .trim()
+                    .parse()
+                    .map_err(|_| format!("{} does not hold a pid", pid_file.display()))?;
+                if !sig::send(pid, sig::SIGKILL) {
+                    return Err(format!("cannot SIGKILL worker {pid}"));
+                }
+                Ok(old)
+            })();
+            progress.release();
+            let old = killed?;
             let respawned_by = Instant::now() + Duration::from_secs(30);
             loop {
                 if let Ok(now) = fs::read_to_string(&pid_file) {
@@ -2844,7 +2897,6 @@ fn chaos_serve_multi(
     baseline: std::sync::Arc<Vec<String>>,
     scratch: &std::path::Path,
 ) -> ExitCode {
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -2914,51 +2966,36 @@ fn chaos_serve_multi(
         return give_up(&mut fleet, input_err(format!("warmup prove failed: {e}")));
     }
 
-    // The concurrent campaign: client `c` owns indices c, c+N, c+2N, …
-    // and carries the whole fleet in its endpoint list, rotated so the
+    // The concurrent campaign (see [`chaos_client`]): every client
+    // carries the whole fleet in its endpoint list, rotated so the
     // primaries differ across clients.
-    let resolved = Arc::new(AtomicU64::new(0));
+    let progress = Arc::new(ChaosProgress::default());
+    let half = (count / 2).max(1);
+    let gate = if kill_daemon { half + clients } else { usize::MAX };
     let started = Instant::now();
-    type CampaignOutcome = Result<(Vec<(usize, String)>, stq_core::ClientStats), String>;
-    let workers: Vec<std::thread::JoinHandle<CampaignOutcome>> = (0..clients)
+    let workers: Vec<std::thread::JoinHandle<ChaosClientOutcome>> = (0..clients)
         .map(|c| {
             let schedule = Arc::clone(&schedule);
-            let resolved = Arc::clone(&resolved);
+            let progress = Arc::clone(&progress);
             let endpoints: Vec<stq_core::Endpoint> = (0..daemons)
                 .map(|k| stq_core::Endpoint::Unix(sockets[(c + k) % daemons].clone()))
                 .collect();
             let cfg = client_cfg(endpoints, 0xC0_0000 + c as u64);
-            std::thread::spawn(move || {
-                let mut client = stq_core::Client::new(cfg);
-                let mut answers = Vec::new();
-                let mut idx = c;
-                while idx < schedule.len() {
-                    let req = &schedule[idx];
-                    match client.call(req.method, req.params.as_deref(), None) {
-                        Ok(outcome) => {
-                            answers.push((idx, chaos_canon(req.method, &outcome.doc)));
-                            resolved.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(e) => return Err(format!("request #{idx} ({}): {e}", req.method)),
-                    }
-                    idx += clients;
-                }
-                Ok((answers, client.stats()))
-            })
+            std::thread::spawn(move || chaos_client(cfg, &schedule, c, clients, gate, &progress))
         })
         .collect();
 
     // Mid-campaign daemon assassination: once half the requests have
-    // resolved, SIGKILL daemon #0 — the daemon that computed every proof.
+    // resolved, SIGKILL daemon #0 — the daemon that computed every proof
+    // — and release the held-back requests.
     let victim_pid = fleet[0].id();
     let killer: Option<std::thread::JoinHandle<Result<(), String>>> = kill_daemon.then(|| {
-        let resolved = Arc::clone(&resolved);
-        let half = (count / 2).max(1) as u64;
+        let progress = Arc::clone(&progress);
         std::thread::spawn(move || {
-            while resolved.load(Ordering::Relaxed) < half {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            if sig::send(victim_pid, sig::SIGKILL) {
+            progress.wait_for(half as u64);
+            let killed = sig::send(victim_pid, sig::SIGKILL);
+            progress.release();
+            if killed {
                 Ok(())
             } else {
                 Err(format!("cannot SIGKILL daemon {victim_pid}"))
