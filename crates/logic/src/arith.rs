@@ -15,7 +15,6 @@
 //! rational core.
 
 use crate::rat::Rat;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// An opaque arithmetic variable standing for a ground term.
@@ -24,8 +23,12 @@ pub type AtomId = u32;
 /// A linear expression `konst + Σ coeff·atom`.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct LinExpr {
-    /// Coefficients per atom; zero coefficients are never stored.
-    pub terms: BTreeMap<AtomId, Rat>,
+    /// `(atom, coefficient)` pairs sorted by atom, each atom at most
+    /// once; zero coefficients are never stored. A flat sorted vector
+    /// lets [`LinExpr::add`] and [`LinExpr::sub`] merge two expressions
+    /// in one linear pass. Private so that the constructors,
+    /// [`LinExpr::add_term`] and the merges are its only writers.
+    terms: Vec<(AtomId, Rat)>,
     /// The constant offset.
     pub konst: Rat,
 }
@@ -34,45 +37,107 @@ impl LinExpr {
     /// The constant expression `v`.
     pub fn constant(v: Rat) -> LinExpr {
         LinExpr {
-            terms: BTreeMap::new(),
+            terms: Vec::new(),
             konst: v,
         }
     }
 
     /// The expression consisting of a single atom with coefficient one.
     pub fn atom(a: AtomId) -> LinExpr {
-        let mut terms = BTreeMap::new();
-        terms.insert(a, Rat::ONE);
         LinExpr {
-            terms,
+            terms: vec![(a, Rat::ONE)],
             konst: Rat::ZERO,
         }
     }
 
+    /// The `(atom, coefficient)` terms, sorted by atom, without
+    /// duplicates or zero coefficients.
+    pub fn terms(&self) -> &[(AtomId, Rat)] {
+        &self.terms
+    }
+
+    /// The coefficient of `a`, if the expression mentions it.
+    pub fn coeff(&self, a: AtomId) -> Option<Rat> {
+        self.terms
+            .binary_search_by_key(&a, |&(x, _)| x)
+            .ok()
+            .map(|i| self.terms[i].1)
+    }
+
     /// Adds `coeff·atom` into the expression.
     pub fn add_term(&mut self, a: AtomId, coeff: Rat) {
-        let entry = self.terms.entry(a).or_insert(Rat::ZERO);
-        *entry = *entry + coeff;
-        if entry.is_zero() {
-            self.terms.remove(&a);
+        match self.terms.binary_search_by_key(&a, |&(x, _)| x) {
+            Ok(i) => {
+                let sum = self.terms[i].1 + coeff;
+                if sum.is_zero() {
+                    self.terms.remove(i);
+                } else {
+                    self.terms[i].1 = sum;
+                }
+            }
+            Err(i) if !coeff.is_zero() => self.terms.insert(i, (a, coeff)),
+            Err(_) => {}
+        }
+    }
+
+    /// The expression with atom `a`'s term dropped.
+    #[must_use]
+    pub fn without(&self, a: AtomId) -> LinExpr {
+        LinExpr {
+            terms: self
+                .terms
+                .iter()
+                .copied()
+                .filter(|&(x, _)| x != a)
+                .collect(),
+            konst: self.konst,
+        }
+    }
+
+    /// `self + k·other`, merging the two sorted term lists in one pass.
+    #[must_use]
+    pub fn add_scaled(&self, other: &LinExpr, k: Rat) -> LinExpr {
+        if k.is_zero() {
+            return self.clone();
+        }
+        let (a, b) = (&self.terms, &other.terms);
+        let mut terms = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let ((x, c), (y, d)) = (a[i], b[j]);
+            if x < y {
+                terms.push((x, c));
+                i += 1;
+            } else if y < x {
+                terms.push((y, d * k));
+                j += 1;
+            } else {
+                let sum = c + d * k;
+                if !sum.is_zero() {
+                    terms.push((x, sum));
+                }
+                i += 1;
+                j += 1;
+            }
+        }
+        terms.extend_from_slice(&a[i..]);
+        terms.extend(b[j..].iter().map(|&(y, d)| (y, d * k)));
+        LinExpr {
+            terms,
+            konst: self.konst + other.konst * k,
         }
     }
 
     /// Pointwise sum.
     #[must_use]
     pub fn add(&self, other: &LinExpr) -> LinExpr {
-        let mut out = self.clone();
-        out.konst = out.konst + other.konst;
-        for (&a, &c) in &other.terms {
-            out.add_term(a, c);
-        }
-        out
+        self.add_scaled(other, Rat::ONE)
     }
 
     /// Pointwise difference.
     #[must_use]
     pub fn sub(&self, other: &LinExpr) -> LinExpr {
-        self.add(&other.scale(-Rat::ONE))
+        self.add_scaled(other, -Rat::ONE)
     }
 
     /// Multiplies every coefficient and the constant by `k`.
@@ -82,7 +147,7 @@ impl LinExpr {
             return LinExpr::constant(Rat::ZERO);
         }
         LinExpr {
-            terms: self.terms.iter().map(|(&a, &c)| (a, c * k)).collect(),
+            terms: self.terms.iter().map(|&(a, c)| (a, c * k)).collect(),
             konst: self.konst * k,
         }
     }
@@ -153,7 +218,7 @@ fn tighten(c: &Constraint) -> Constraint {
         Rel::Lt => {
             // Scale so every coefficient and the constant are integers.
             let mut lcm: i128 = 1;
-            let mut dens: Vec<i128> = c.expr.terms.values().map(|r| r.denom()).collect();
+            let mut dens: Vec<i128> = c.expr.terms.iter().map(|(_, r)| r.denom()).collect();
             dens.push(c.expr.konst.denom());
             for d in dens {
                 let g = gcd(lcm, d);
@@ -223,26 +288,20 @@ pub fn feasible_counted(constraints: &[Constraint]) -> (bool, u64) {
     // Gaussian elimination on equalities: solve each for one atom and
     // substitute everywhere.
     while let Some(eq) = eqs.pop() {
-        match eq.terms.iter().next() {
+        match eq.terms.first() {
             None => {
                 if !eq.konst.is_zero() {
                     return (false, eliminations);
                 }
             }
-            Some((&pivot, &coeff)) => {
+            Some(&(pivot, coeff)) => {
                 eliminations += 1;
                 // pivot = -(eq - coeff*pivot) / coeff
-                let mut rest = eq.clone();
-                rest.terms.remove(&pivot);
-                let replacement = rest.scale(-Rat::ONE / coeff);
+                let replacement = eq.without(pivot).scale(-Rat::ONE / coeff);
                 let subst = |e: &LinExpr| -> LinExpr {
-                    match e.terms.get(&pivot) {
+                    match e.coeff(pivot) {
                         None => e.clone(),
-                        Some(&k) => {
-                            let mut out = e.clone();
-                            out.terms.remove(&pivot);
-                            out.add(&replacement.scale(k))
-                        }
+                        Some(k) => e.without(pivot).add_scaled(&replacement, k),
                     }
                 };
                 eqs = eqs.iter().map(&subst).collect();
@@ -272,7 +331,7 @@ pub fn feasible_counted(constraints: &[Constraint]) -> (bool, u64) {
             }
         }
         ineqs = remaining;
-        let Some(&var) = ineqs.iter().flat_map(|c| c.expr.terms.keys()).next() else {
+        let Some(&(var, _)) = ineqs.iter().flat_map(|c| &c.expr.terms).next() else {
             return (true, eliminations);
         };
         eliminations += 1;
@@ -282,15 +341,13 @@ pub fn feasible_counted(constraints: &[Constraint]) -> (bool, u64) {
         let mut uppers: Vec<(LinExpr, Rel)> = Vec::new(); // var ≤/< bound
         let mut others: Vec<Constraint> = Vec::new();
         for c in ineqs {
-            match c.expr.terms.get(&var).copied() {
+            match c.expr.coeff(var) {
                 None => others.push(c),
                 Some(coeff) => {
                     // c.expr = coeff*var + rest REL 0  ⇒
                     //   coeff > 0: var ≤(REL) -rest/coeff  (upper bound)
                     //   coeff < 0: var ≥(REL) -rest/coeff  (lower bound)
-                    let mut rest = c.expr.clone();
-                    rest.terms.remove(&var);
-                    let bound = rest.scale(-Rat::ONE / coeff);
+                    let bound = c.expr.without(var).scale(-Rat::ONE / coeff);
                     if coeff.is_positive() {
                         uppers.push((bound, c.rel));
                     } else {
@@ -460,11 +517,26 @@ mod tests {
     #[test]
     fn linexpr_algebra() {
         let e = x().scale(Rat::int(2)).add(&k(3));
-        assert_eq!(e.terms.get(&0), Some(&Rat::int(2)));
+        assert_eq!(e.coeff(0), Some(Rat::int(2)));
         assert_eq!(e.konst, Rat::int(3));
         let z = e.sub(&e);
         assert!(z.is_constant());
         assert_eq!(z.as_constant(), Some(Rat::ZERO));
+    }
+
+    #[test]
+    fn add_scaled_merges_sorted_terms_and_drops_zeros() {
+        // (x + 2z + 1) + 2·(y - z + 3) = x + 2y + 7: z cancels, y lands
+        // between x and z's old slot, and the result stays sorted.
+        let z = LinExpr::atom(2);
+        let a = x().add(&z.scale(Rat::int(2))).add(&k(1));
+        let b = y().sub(&z).add(&k(3));
+        let sum = a.add_scaled(&b, Rat::int(2));
+        assert_eq!(sum.terms, vec![(0, Rat::ONE), (1, Rat::int(2))]);
+        assert_eq!(sum.konst, Rat::int(7));
+        assert_eq!(sum.without(1), x().add(&k(7)));
+        assert_eq!(sum.coeff(2), None);
+        assert_eq!(a.add_scaled(&b, Rat::ZERO), a);
     }
 
     #[test]

@@ -54,6 +54,12 @@ pub enum FaultKind {
     /// consistency check), several frames deep in the DPLL search.
     /// Exercises containment of crashes in the middle of the stack.
     TheoryError,
+    /// Park on entry until the attempt's
+    /// [`crate::solver::Problem::cancel`] token fires (cancellation or
+    /// its deadline), printing one `injected stall at solver entry N`
+    /// line on stderr when it parks. Gives interruption tests a run that
+    /// is provably mid-flight when they send the signal, with no sleeps.
+    Stall,
 }
 
 /// A deterministic schedule of synthetic faults, keyed by solver entry

@@ -1,6 +1,7 @@
 //! The refutation-based prover: DPLL case splitting over the clausal
 //! structure, Nelson–Oppen theory checks (congruence closure + linear
-//! arithmetic) at the leaves, and rounds of E-matching instantiation.
+//! arithmetic) at the leaves, congruence-closure checks before every
+//! decision, and rounds of E-matching instantiation.
 //!
 //! To prove `axioms, hypotheses ⊢ goal` the solver asserts the axioms and
 //! hypotheses together with the negated goal and searches for a
@@ -16,9 +17,9 @@
 //!
 //! # Cold-path performance
 //!
-//! Three mechanisms make cold (cache-miss) proving cheap, all of them
-//! observable in [`ProverStats`] and individually disengageable through
-//! [`SolverTuning`] for ablation:
+//! Four mechanisms make cold (cache-miss) proving cheap, all of them
+//! observable in [`ProverStats`] and disengaged by
+//! [`SolverTuning::legacy`] for ablation:
 //!
 //! * **Shared axiomatization** ([`crate::theory`]): a [`Theory`] attached
 //!   via [`Problem::set_theory`] is clausified once; each attempt starts
@@ -28,13 +29,21 @@
 //!   interned into a per-attempt arena, so the EUF leaf checks and
 //!   E-matching rounds intern by id lookup instead of recursive tree
 //!   walks (`interned_terms` / `intern_hits`).
+//! * **EUF pruning** (with hash-consing): after unit propagation and
+//!   before each decision, the assigned equalities, disequalities and
+//!   predicate facts are asserted on the round's template e-graph, and
+//!   the search backtracks at the first congruence conflict instead of
+//!   enumerating leaves that must all fail (`decisions`, `conflicts`).
 //! * **Per-worker solver reuse** ([`SolverWorker`]): a worker keeps one
 //!   theory-loaded core alive across obligations, rolling it back to the
 //!   shared-theory watermark between attempts instead of rebuilding it.
 //!
-//! Tuning never changes verdicts: the optimized and legacy paths follow
-//! the same decision, instantiation, and theory-check sequence, which the
-//! cross-tuning determinism tests pin down counter-for-counter.
+//! Tuning never changes verdicts. Congruence closure is monotone, so a
+//! node that fails the EUF check has no theory-consistent leaf below it:
+//! the pruned and the legacy search reach the same first consistent leaf
+//! each round, and therefore the same countermodel, instantiations and
+//! clauses. The pruned search only makes fewer decisions, which the
+//! cross-tuning determinism tests pin down obligation by obligation.
 
 use crate::arena::{Head, TermArena, TermId};
 use crate::arith::{entails_eq0_counted, feasible_counted, Constraint, LinExpr};
@@ -298,6 +307,8 @@ impl Problem {
     ///
     /// Panics if no goal was set, or if the fault plan schedules a
     /// [`FaultKind::Panic`] or [`FaultKind::TheoryError`] at this entry.
+    /// A [`FaultKind::Stall`] parks the call until [`Problem::cancel`]
+    /// fires.
     /// Use [`Problem::prove_isolated`] to contain panics as
     /// [`Outcome::Crashed`].
     pub fn prove(&self) -> Outcome {
@@ -345,6 +356,13 @@ impl Problem {
                 };
             }
             Some(FaultKind::TheoryError) => Some(entry),
+            Some(FaultKind::Stall) => {
+                eprintln!("injected stall at solver entry {entry}: parked until cancelled");
+                while !self.cancel.should_stop() {
+                    std::thread::sleep(STALL_POLL);
+                }
+                None
+            }
             None => None,
         };
         // A cancel observed before any work still reports as this
@@ -437,9 +455,9 @@ impl Problem {
         // Instantiation dedup keys on hash-consed ids: atom tables only
         // grow within an attempt, so ids are stable across rounds.
         let mut instantiated: HashSet<(usize, Binding)> = HashSet::new();
-        // Trigger display names, rendered once per (quantifier, trigger)
-        // instead of once per instantiation.
-        let mut trigger_names: HashMap<(usize, usize), String> = HashMap::new();
+        // Instantiations per (quantifier, trigger) index; each trigger's
+        // display name is rendered once, when the attempt ends.
+        let mut by_trigger: HashMap<(usize, usize), u64> = HashMap::new();
         // Legacy-mode interning telemetry, summed from the short-lived
         // per-leaf and per-round arenas.
         let mut legacy_interned: u64 = 0;
@@ -604,8 +622,13 @@ impl Problem {
                             stats,
                         };
                     }
-                    let closure = core.cl.quants[q].clone();
+                    // Borrow the closure by index: its instances are
+                    // collected first and clausified after the trigger
+                    // sweep, in the same order, since clausifying can
+                    // grow `core.cl.quants`.
                     let proxy_atom = core.cl.quant_atom(q);
+                    let closure = &core.cl.quants[q];
+                    let mut insts: Vec<Formula> = Vec::new();
                     for (ti, trigger) in closure.triggers.iter().enumerate() {
                         let (bindings, candidates) = match_trigger_counted(eg, trigger);
                         stats.ematch_candidates += candidates;
@@ -622,32 +645,33 @@ impl Problem {
                             {
                                 continue;
                             }
-                            if !instantiated.insert((q, binding.clone())) {
+                            let key = (q, binding);
+                            if instantiated.contains(&key) {
                                 continue;
                             }
-                            stats.instantiations += 1;
-                            let name = trigger_names
-                                .entry((q, ti))
-                                .or_insert_with(|| render_trigger(trigger))
-                                .clone();
-                            *stats.instantiations_by_trigger.entry(name).or_insert(0) += 1;
-                            let subst: Vec<(Symbol, Term)> = binding
+                            let subst: Vec<(Symbol, Term)> = key
+                                .1
                                 .iter()
                                 .map(|&(x, id)| (x, ematch_arena.term(id).clone()))
                                 .collect();
-                            let inst = closure.body.subst(&subst);
-                            let mut inst_clauses = core.cl.clausify(&inst);
-                            // Guard each clause with the proxy: ¬Q ∨ instance.
-                            if let Some(p) = proxy_atom {
-                                for c in &mut inst_clauses {
-                                    c.push(Lit {
-                                        atom: p,
-                                        pos: false,
-                                    });
-                                }
-                            }
-                            fresh.extend(inst_clauses);
+                            instantiated.insert(key);
+                            stats.instantiations += 1;
+                            *by_trigger.entry((q, ti)).or_insert(0) += 1;
+                            insts.push(closure.body.subst(&subst));
                         }
+                    }
+                    for inst in insts {
+                        let mut inst_clauses = core.cl.clausify(&inst);
+                        // Guard each clause with the proxy: ¬Q ∨ instance.
+                        if let Some(p) = proxy_atom {
+                            for c in &mut inst_clauses {
+                                c.push(Lit {
+                                    atom: p,
+                                    pos: false,
+                                });
+                            }
+                        }
+                        fresh.extend(inst_clauses);
                     }
                 }
                 if let Some(ctx) = ematch_ctx.as_mut() {
@@ -695,6 +719,10 @@ impl Problem {
         // Interning telemetry, stamped once at the single exit: arena
         // deltas when hash-consing, per-leaf/per-round sums otherwise.
         let s = outcome.stats_mut();
+        for ((q, ti), n) in by_trigger {
+            let name = render_trigger(&core.cl.quants[q].triggers[ti]);
+            *s.instantiations_by_trigger.entry(name).or_insert(0) += n;
+        }
         if self.tuning.hash_cons {
             s.interned_terms = core.arena.created() - arena_created0;
             s.intern_hits = core.arena.hits() - arena_hits0;
@@ -864,6 +892,15 @@ enum ArithKind {
     Lt,
 }
 
+/// The arithmetic literals a full leaf's EUF phase hands to the
+/// Fourier–Motzkin phases: linear (dis)equalities and inequalities, and
+/// the integer disequalities to test for entailment.
+#[derive(Default)]
+struct ArithLits {
+    arith: Vec<(TermId, TermId, ArithKind, bool)>,
+    diseqs: Vec<(TermId, TermId)>,
+}
+
 /// The hash-consed leaf checker's reusable template e-graph: every atom
 /// operand (and the `0`/`1` markers) interned once per round, with the
 /// per-atom e-graph refs precomputed. A leaf check asserts its handful
@@ -966,6 +1003,9 @@ struct Search<'a> {
     theory_fault: Option<u64>,
 }
 
+/// How often a [`FaultKind::Stall`]ed solver entry polls its cancel token.
+const STALL_POLL: std::time::Duration = std::time::Duration::from_millis(2);
+
 /// How many decisions elapse between wall-clock deadline checks; each
 /// decision already scans every clause, so checking this often keeps the
 /// overhead of `Instant::now` well under the noise floor.
@@ -1066,6 +1106,15 @@ impl Search<'_> {
                 }
             }
             Some(lit) => {
+                // Prune at the first congruence conflict: no leaf below
+                // this node can pass the leaf check (see `euf_consistent`).
+                if !self.euf_consistent(assign) {
+                    self.conflicts += 1;
+                    for &a in &trail {
+                        assign[a] = None;
+                    }
+                    return None;
+                }
                 self.decisions += 1;
                 if self.decisions > self.max_decisions {
                     self.exhausted = true;
@@ -1111,79 +1160,118 @@ impl Search<'_> {
         }
     }
 
+    /// Counts one theory check and fires an injected theory fault, if
+    /// the installed [`crate::fault::FaultPlan`] scheduled one.
+    fn enter_theory_check(&mut self) {
+        if let Some(entry) = self.theory_fault {
+            panic!("injected theory-solver failure at solver entry {entry}");
+        }
+        self.theory_checks += 1;
+    }
+
+    /// Runs `check` on the round's template e-graph and rewinds whatever
+    /// it asserted, counting its unions. `None` when there is no template
+    /// (hash-consing tuned off).
+    fn on_template(
+        &mut self,
+        check: impl FnOnce(&Self, CachedView<'_>, &mut LeafCtx) -> bool,
+    ) -> Option<bool> {
+        let mut ctx = self.leaf.take()?;
+        let view = self.cached.expect("leaf template implies a cached view");
+        let before = ctx.eg.merges();
+        let cp = ctx.eg.checkpoint();
+        let ok = check(self, view, &mut ctx);
+        ctx.eg.rollback(cp);
+        self.merges += ctx.eg.merges() - before;
+        self.leaf = Some(ctx);
+        Some(ok)
+    }
+
+    /// The node check run after unit propagation and before each
+    /// decision: phase 1 of the hash-consed leaf check (congruence
+    /// closure over the assigned equalities, disequalities and predicate
+    /// facts) on the partial assignment. Congruence closure is monotone,
+    /// so when this fails every full leaf below the node fails the leaf
+    /// check too, and the search can backtrack at once without changing
+    /// which leaf it reaches first. Without the template e-graph (the
+    /// legacy tuning) there is no node check and the search is unpruned.
+    fn euf_consistent(&mut self, assign: &[Option<bool>]) -> bool {
+        if self.leaf.is_none() {
+            return true;
+        }
+        self.enter_theory_check();
+        self.on_template(|s, view, ctx| s.assert_euf(assign, view, ctx, None)) != Some(false)
+    }
+
     /// Nelson–Oppen style consistency check of the assigned literals:
     /// congruence closure over the equalities and predicate facts, then
     /// Fourier–Motzkin over the (EUF-canonicalized) arithmetic literals,
     /// then exact handling of integer disequalities.
     fn theory_consistent(&mut self, assign: &[Option<bool>]) -> bool {
-        if let Some(entry) = self.theory_fault {
-            panic!("injected theory-solver failure at solver entry {entry}");
+        self.enter_theory_check();
+        let mut elims = 0;
+        let cached = self.on_template(|s, view, ctx| {
+            let mut lits = ArithLits::default();
+            s.assert_euf(assign, view, ctx, Some(&mut lits))
+                && arith_phases(
+                    &mut ctx.eg,
+                    view.arena,
+                    &lits.arith,
+                    &lits.diseqs,
+                    &mut elims,
+                )
+        });
+        self.fm_eliminations += elims;
+        if let Some(ok) = cached {
+            return ok;
         }
-        self.theory_checks += 1;
-        match self.leaf.take() {
-            Some(mut ctx) => {
-                let view = self.cached.expect("leaf template implies a cached view");
-                let before = ctx.eg.merges();
-                let cp = ctx.eg.checkpoint();
-                let ok = self.consistent_cached(assign, view, &mut ctx);
-                ctx.eg.rollback(cp);
-                self.merges += ctx.eg.merges() - before;
-                self.leaf = Some(ctx);
-                ok
-            }
-            None => {
-                let mut leaf_arena = TermArena::new();
-                let mut eg = Egraph::new();
-                let ok = self.consistent_legacy(assign, &mut leaf_arena, &mut eg);
-                self.interned_terms += leaf_arena.created();
-                self.intern_hits += leaf_arena.hits();
-                self.merges += eg.merges();
-                ok
-            }
-        }
+        let mut leaf_arena = TermArena::new();
+        let mut eg = Egraph::new();
+        let ok = self.consistent_legacy(assign, &mut leaf_arena, &mut eg);
+        self.interned_terms += leaf_arena.created();
+        self.intern_hits += leaf_arena.hits();
+        self.merges += eg.merges();
+        ok
     }
 
-    /// Hash-consed leaf check on the round's template e-graph: every
-    /// assigned atom's operand refs are precomputed, so the EUF phase is
-    /// a handful of class unions with zero interning traffic (the caller
-    /// rewinds them afterwards). Verdicts match the legacy per-leaf
-    /// rebuild exactly: congruence closure restricted to the assigned
-    /// atoms' subterm-closed universe is unchanged by the template's
-    /// extra terms, which can join classes but never equate two assigned
-    /// terms (or inject an integer value) that the smaller universe
-    /// wouldn't.
-    fn consistent_cached(
-        &mut self,
+    /// Phase 1 of the hash-consed check on the round's template e-graph:
+    /// every assigned atom's operand refs are precomputed, so asserting
+    /// the equalities, disequalities and predicate facts is a handful of
+    /// class unions with zero interning traffic (the caller rewinds
+    /// them afterwards). Returns false on a congruence conflict. A full
+    /// leaf passes `lits` to collect the arithmetic literals for phases
+    /// 2 and 3; a node check passes `None`.
+    ///
+    /// Verdicts match the legacy per-leaf rebuild exactly: congruence
+    /// closure restricted to the assigned atoms' subterm-closed universe
+    /// is unchanged by the template's extra terms, which can join classes
+    /// but never equate two assigned terms (or inject an integer value)
+    /// that the smaller universe wouldn't.
+    fn assert_euf(
+        &self,
         assign: &[Option<bool>],
         view: CachedView<'_>,
         ctx: &mut LeafCtx,
+        mut lits: Option<&mut ArithLits>,
     ) -> bool {
-        let mut diseqs: Vec<(TermId, TermId)> = Vec::new();
-        let mut arith: Vec<(TermId, TermId, ArithKind, bool)> = Vec::new();
         let eg = &mut ctx.eg;
-
-        // Phase 1: EUF assertions.
         for (i, v) in assign.iter().enumerate() {
             let Some(value) = *v else { continue };
             let ca = view.atom_tids[i];
             let [fst, snd] = ctx.atom_refs[i];
-            match self.cl.atom(i) {
+            let kind = match self.cl.atom(i) {
                 Atom::Eq(..) => {
-                    let a = ca.fst.expect("equality operands are ground");
-                    let b = ca.snd.expect("equality operands are ground");
                     let ra = fst.expect("equality operands are interned");
                     let rb = snd.expect("equality operands are interned");
-                    if value {
-                        if eg.merge(ra, rb).is_err() {
-                            return false;
-                        }
-                        arith.push((a, b, ArithKind::Eq, true));
+                    let asserted = if value {
+                        eg.merge(ra, rb)
                     } else {
-                        if eg.assert_diseq(ra, rb).is_err() {
-                            return false;
-                        }
-                        diseqs.push((a, b));
+                        eg.assert_diseq(ra, rb)
+                    };
+                    if asserted.is_err() {
+                        return false;
                     }
+                    ArithKind::Eq
                 }
                 Atom::Pred(..) => {
                     let rt = fst.expect("predicate arguments are interned");
@@ -1191,22 +1279,22 @@ impl Search<'_> {
                     if eg.merge(rt, marker).is_err() {
                         return false;
                     }
+                    continue;
                 }
-                Atom::Le(..) => {
-                    let a = ca.fst.expect("inequality operands are ground");
-                    let b = ca.snd.expect("inequality operands are ground");
-                    arith.push((a, b, ArithKind::Le, value));
+                Atom::Le(..) => ArithKind::Le,
+                Atom::Lt(..) => ArithKind::Lt,
+                Atom::Quant(_) => continue,
+            };
+            if let Some(lits) = lits.as_deref_mut() {
+                let a = ca.fst.expect("arithmetic operands are ground");
+                let b = ca.snd.expect("arithmetic operands are ground");
+                match (kind, value) {
+                    (ArithKind::Eq, false) => lits.diseqs.push((a, b)),
+                    _ => lits.arith.push((a, b, kind, value)),
                 }
-                Atom::Lt(..) => {
-                    let a = ca.fst.expect("inequality operands are ground");
-                    let b = ca.snd.expect("inequality operands are ground");
-                    arith.push((a, b, ArithKind::Lt, value));
-                }
-                Atom::Quant(_) => {}
             }
         }
-
-        arith_phases(eg, view.arena, &arith, &diseqs, &mut self.fm_eliminations)
+        true
     }
 
     /// Legacy leaf check: a throwaway arena per leaf, re-interning every
@@ -1918,17 +2006,11 @@ mod tests {
         (theory, problems)
     }
 
-    /// The seed counters that must be identical across tuning modes,
-    /// workers, and job counts (everything except wall time and the
-    /// mode-specific prep/interning telemetry).
-    /// Zeroes the counters that legitimately differ between tuning
-    /// modes, leaving the search-trace counters (decisions, conflicts,
-    /// propagations, rounds, instantiations, theory checks, clauses)
-    /// that every tuning must reproduce exactly. `merges` and
-    /// `fm_eliminations` measure *how* a leaf verdict was computed — the
-    /// template e-graph reaches the same verdicts with different union
-    /// and elimination schedules — and the theory-prep/interning
-    /// counters measure the preprocessing the tunings exist to vary.
+    /// The counters that must be identical across shared and inline
+    /// theories, workers, and job counts under one tuning: zeroes wall
+    /// time, `merges`/`fm_eliminations` (which measure *how* a leaf
+    /// verdict was computed) and the theory-prep/interning ledgers
+    /// (which measure the preprocessing the tunings exist to vary).
     fn seed_counters(stats: &ProverStats) -> ProverStats {
         ProverStats {
             theory_preps: 0,
@@ -1990,23 +2072,112 @@ mod tests {
             SolverTuning::legacy(),
         ];
         for template in &problems {
-            let baseline = template.prove();
+            let mut legacy = template.clone();
+            legacy.tuning = SolverTuning::legacy();
+            let baseline = legacy.prove();
+            let base = baseline.stats();
+            let pruned = template.clone().prove();
             for tuning in combos {
                 let mut p = template.clone();
                 p.tuning = tuning;
                 let outcome = p.prove();
+                let s = outcome.stats();
                 assert_eq!(
                     verdict(&outcome),
                     verdict(&baseline),
                     "verdict drifted under {tuning:?}"
                 );
+                // Every tuning reaches the same first consistent leaf
+                // each round: the E-matching trace and clause growth
+                // are reproduced exactly.
                 assert_eq!(
-                    seed_counters(outcome.stats()),
-                    seed_counters(baseline.stats()),
-                    "work counters drifted under {tuning:?}"
+                    (s.rounds, s.instantiations, &s.instantiations_by_trigger),
+                    (
+                        base.rounds,
+                        base.instantiations,
+                        &base.instantiations_by_trigger
+                    ),
+                    "instantiation trace drifted under {tuning:?}"
                 );
+                assert_eq!(
+                    (s.ematch_candidates, s.clauses, s.max_clauses),
+                    (base.ematch_candidates, base.clauses, base.max_clauses),
+                    "clause growth drifted under {tuning:?}"
+                );
+                if tuning.hash_cons {
+                    // Every tuning with the template e-graph runs the same
+                    // pruned search: `share_theory` must not move a counter.
+                    assert_eq!(
+                        seed_counters(s),
+                        seed_counters(pruned.stats()),
+                        "pruned search drifted under {tuning:?}"
+                    );
+                    // The EUF node checks prune the legacy search tree.
+                    assert!(
+                        s.decisions <= base.decisions,
+                        "{tuning:?}: {s:?} vs {base:?}"
+                    );
+                    assert!(
+                        s.propagations <= base.propagations,
+                        "{tuning:?}: {s:?} vs {base:?}"
+                    );
+                    assert!(
+                        s.conflicts <= base.conflicts,
+                        "{tuning:?}: {s:?} vs {base:?}"
+                    );
+                    // Full-leaf checks are a subset of the legacy ones;
+                    // each decision and each pruned node adds one node
+                    // check on top.
+                    assert!(
+                        s.theory_checks <= base.theory_checks + s.decisions + s.conflicts,
+                        "{tuning:?}: {s:?} vs {base:?}"
+                    );
+                } else {
+                    // Without the template e-graph the search is the
+                    // legacy one, node for node.
+                    assert_eq!(
+                        (s.decisions, s.propagations, s.conflicts, s.theory_checks),
+                        (
+                            base.decisions,
+                            base.propagations,
+                            base.conflicts,
+                            base.theory_checks
+                        ),
+                        "search drifted under {tuning:?}"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn node_checks_prune_at_the_first_congruence_conflict() {
+        // c = 1 ∨ c = 2, f(c) = 5, (c = 1 ⇒ f(1) = 3) ⊢ c = 2. The c = 1
+        // branch conflicts in congruence closure as soon as c = 1 and
+        // f(1) = 3 are assigned, before the remaining split on
+        // p ∨ q is decided; the legacy search enumerates that split and
+        // rejects each leaf separately.
+        let c = Term::cnst("c");
+        let f = |t: Term| Term::app("f", vec![t]);
+        let p = Formula::pred("pn", vec![]);
+        let q = Formula::pred("qn", vec![]);
+        let mut problem = Problem::new();
+        problem.hypothesis(Formula::or(vec![c.eq(&Term::int(1)), c.eq(&Term::int(2))]));
+        problem.hypothesis(f(c.clone()).eq(&Term::int(5)));
+        problem.hypothesis(
+            c.eq(&Term::int(1))
+                .implies(f(Term::int(1)).eq(&Term::int(3))),
+        );
+        problem.hypothesis(Formula::or(vec![p.clone(), q.clone()]));
+        problem.hypothesis(Formula::or(vec![p.negate(), q.negate()]));
+        problem.goal(c.eq(&Term::int(2)));
+        let pruned = problem.prove();
+        problem.tuning = SolverTuning::legacy();
+        let legacy = problem.prove();
+        assert!(pruned.is_proved() && legacy.is_proved());
+        let (sp, sl) = (pruned.stats(), legacy.stats());
+        assert!(sp.decisions < sl.decisions, "{sp:?} vs {sl:?}");
+        assert!(sp.conflicts < sl.conflicts, "{sp:?} vs {sl:?}");
     }
 
     #[test]

@@ -224,9 +224,12 @@ pub struct ProverStats {
     pub decisions: u64,
     /// DPLL unit propagations performed.
     pub propagations: u64,
-    /// DPLL conflicts encountered (propagation and theory conflicts).
+    /// DPLL conflicts encountered: propagation conflicts, leaves the
+    /// theory check rejects, and nodes pruned by the EUF node check.
     pub conflicts: u64,
-    /// Nelson–Oppen theory-consistency checks at search leaves.
+    /// Theory-consistency checks: the Nelson–Oppen check at each search
+    /// leaf plus, under hash-consing, the congruence-closure node check
+    /// before each decision.
     pub theory_checks: u64,
     /// Congruence-closure class merges (unions), across all checks.
     pub merges: u64,

@@ -6,12 +6,18 @@
 //! * **Arithmetic soundness**: if Fourier–Motzkin declares a constraint
 //!   system infeasible, no integer point satisfies it; and any integer
 //!   point found by brute force forces feasibility.
+//! * **Pruning is invisible**: on small ground problems mixing
+//!   disjunctive equalities, uninterpreted functions, predicates and
+//!   inequalities, the default tuning (EUF checks before every decision)
+//!   and the legacy tuning (theory checks at full leaves only) reach the
+//!   same outcome and the same countermodel, and the default never
+//!   decides more often.
 
 use proptest::prelude::*;
 use stq_logic::arith::{feasible, Constraint, LinExpr};
 use stq_logic::rat::Rat;
-use stq_logic::solver::Problem;
-use stq_logic::term::Formula;
+use stq_logic::solver::{Outcome, Problem, SolverTuning};
+use stq_logic::term::{Formula, Term};
 
 // ----- propositional -----
 
@@ -155,7 +161,6 @@ proptest! {
         a in -10i64..=10, b in -10i64..=10, c in -10i64..=10
     ) {
         // a ≤ x ∧ x ≤ b ⊢ x ≤ c holds iff (a > b) ∨ (b ≤ c).
-        use stq_logic::term::Term;
         let x = Term::cnst("x");
         let expected = a > b || b <= c;
         let mut problem = Problem::new();
@@ -163,5 +168,97 @@ proptest! {
         problem.hypothesis(x.le(&Term::int(b)));
         problem.goal(x.le(&Term::int(c)));
         prop_assert_eq!(problem.prove().is_proved(), expected);
+    }
+}
+
+// ----- EUF pruning: default vs legacy tuning -----
+
+/// One ground literal over a small term universe: `kind` picks
+/// equality, `≤`, `<` or a unary predicate; `neg` negates it.
+#[derive(Clone, Copy, Debug)]
+struct RawLit {
+    kind: u8,
+    lhs: u8,
+    rhs: u8,
+    neg: bool,
+}
+
+fn lit_strategy() -> impl Strategy<Value = RawLit> {
+    (0u8..4, 0u8..9, 0u8..9, any::<bool>()).prop_map(|(kind, lhs, rhs, neg)| RawLit {
+        kind,
+        lhs,
+        rhs,
+        neg,
+    })
+}
+
+/// Constants, applications of `f`, sums, and integer literals, so
+/// congruence, arithmetic and their interaction all show up.
+fn ground_term(i: u8) -> Term {
+    let c = |n: &str| Term::cnst(n);
+    let f = |t: Term| Term::app("f", vec![t]);
+    match i {
+        0 => c("a"),
+        1 => c("b"),
+        2 => c("c"),
+        3 => f(c("a")),
+        4 => f(c("b")),
+        5 => f(f(c("a"))),
+        6 => c("a").add(&Term::int(1)),
+        7 => Term::int(0),
+        _ => Term::int(1),
+    }
+}
+
+fn lit_formula(l: RawLit) -> Formula {
+    let (a, b) = (ground_term(l.lhs), ground_term(l.rhs));
+    let f = match l.kind {
+        0 => a.eq(&b),
+        1 => a.le(&b),
+        2 => a.lt(&b),
+        _ => Formula::pred("p", vec![a]),
+    };
+    if l.neg {
+        f.negate()
+    } else {
+        f
+    }
+}
+
+fn clause_formula(lits: &[RawLit]) -> Formula {
+    Formula::or(lits.iter().copied().map(lit_formula).collect())
+}
+
+fn outcome_key(o: &Outcome) -> String {
+    match o {
+        Outcome::Proved { .. } => "proved".into(),
+        Outcome::Refuted { model, .. } => format!("refuted:{model:?}"),
+        Outcome::ResourceOut { resource, .. } => format!("out:{resource:?}"),
+        Outcome::Crashed { message, .. } => format!("crashed:{message}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn pruned_and_legacy_search_agree_on_ground_problems(
+        hyps in prop::collection::vec(prop::collection::vec(lit_strategy(), 1..4), 1..6),
+        goal in prop::collection::vec(lit_strategy(), 1..3)
+    ) {
+        let mut problem = Problem::new();
+        for h in &hyps {
+            problem.hypothesis(clause_formula(h));
+        }
+        problem.goal(clause_formula(&goal));
+        let pruned = problem.prove();
+        problem.tuning = SolverTuning::legacy();
+        let legacy = problem.prove();
+        prop_assert_eq!(outcome_key(&pruned), outcome_key(&legacy), "{:?} / {:?}", hyps, goal);
+        let (sp, sl) = (pruned.stats(), legacy.stats());
+        prop_assert!(sp.decisions <= sl.decisions, "{:?} vs {:?}", sp, sl);
+        prop_assert!(sp.conflicts <= sl.conflicts, "{:?} vs {:?}", sp, sl);
+        prop_assert_eq!(sp.rounds, sl.rounds);
+        prop_assert_eq!(sp.clauses, sl.clauses);
     }
 }

@@ -1,17 +1,24 @@
 //! The cold-path determinism suite: the optimized pipeline (shared
-//! theory, hash-consed leaf checks, per-worker solver reuse) must be a
-//! pure performance change. Verdicts, countermodels, and the `--stats`
-//! counter totals have to be byte-identical across `--jobs 1/4/8`, with
-//! and without fault injection (`--fault-*-at`) armed; and the legacy
-//! tuning ([`SolverTuning::legacy`]) must agree with the optimized
-//! default on every verdict and every *search-trace* counter.
+//! theory, hash-consed leaf checks, per-worker solver reuse, EUF pruning
+//! of the case splits) must be a pure performance change. Verdicts,
+//! countermodels, and the `--stats` counter totals have to be
+//! byte-identical across `--jobs 1/4/8`, with and without fault
+//! injection (`--fault-*-at`) armed; and the legacy tuning
+//! ([`SolverTuning::legacy`]) must agree with the optimized default on
+//! every verdict, countermodel, and E-matching counter.
 //!
-//! The only counters allowed to differ between tuning modes are
-//! `merges`/`fm_eliminations` (class-representative numbering and union
-//! scheduling differ between the per-leaf e-graphs and the shared leaf
-//! template) and the preprocessing/interning ledgers
-//! (`theory_preps`/`theory_reuses`, `interned_terms`/`intern_hits`),
-//! which measure *how* the work was done — never *what* was concluded.
+//! The default tuning checks congruence closure before every decision
+//! and backtracks at the first conflict; the legacy tuning checks the
+//! theories only at full leaves. Both reach the same first
+//! theory-consistent leaf, so every round, instantiation, and clause
+//! matches, but the pruned search does less: its decisions,
+//! propagations and conflicts are at most the legacy search's,
+//! obligation by obligation, and its theory checks exceed the legacy
+//! count by at most one node check per decision or pruned node.
+//! `merges`/`fm_eliminations` and
+//! the preprocessing/interning ledgers (`theory_preps`/`theory_reuses`,
+//! `interned_terms`/`intern_hits`) measure *how* the work was done and
+//! are not compared across tunings.
 
 use stq_qualspec::Registry;
 use stq_soundness::{
@@ -19,9 +26,54 @@ use stq_soundness::{
     SoundnessReport, Verdict,
 };
 
-fn run(jobs: usize, retry: RetryPolicy, tuning: SolverTuning) -> SoundnessReport {
-    let registry = Registry::builtins();
-    check_all_pipeline_tuned(&registry, Budget::default(), retry, jobs, None, tuning)
+/// The paper's erroneous `pos` rule (§2.1.3), `E1 - E2` in place of
+/// `E1 * E2`, under its own name: the refutation path, with a
+/// countermodel to compare.
+const SUBTRACTION_POS: &str = "value qualifier subpos(int Expr E)
+    case E of
+        decl int Const C:
+            C, where C > 0
+      | decl int Expr E1, E2:
+            E1 - E2, where subpos(E1) && subpos(E2)
+    invariant value(E) > 0";
+
+/// Builtins, `examples/qualifiers/extra.q`, and [`SUBTRACTION_POS`].
+fn mixed_registry() -> Registry {
+    let mut registry = Registry::builtins();
+    registry
+        .add_source(include_str!("../../../examples/qualifiers/extra.q"))
+        .expect("extra.q parses");
+    registry.add_source(SUBTRACTION_POS).expect("subpos parses");
+    registry
+}
+
+fn run(
+    registry: &Registry,
+    jobs: usize,
+    retry: RetryPolicy,
+    tuning: SolverTuning,
+) -> SoundnessReport {
+    check_all_pipeline_tuned(registry, Budget::default(), retry, jobs, None, tuning)
+}
+
+/// Every qualifier of [`mixed_registry`] is sound (or declares no
+/// invariant) except `subpos`, which is refuted with a countermodel.
+fn assert_mixed_verdicts(report: &SoundnessReport) {
+    for r in &report.reports {
+        if r.qualifier.as_str() == "subpos" {
+            assert_eq!(r.verdict, Verdict::Unsound, "{report}");
+            assert!(
+                r.obligations.iter().any(|o| !o.countermodel.is_empty()),
+                "{report}"
+            );
+        } else {
+            assert!(
+                matches!(r.verdict, Verdict::Sound | Verdict::NoInvariant),
+                "{}: {report}",
+                r.qualifier
+            );
+        }
+    }
 }
 
 /// Asserts two reports are identical modulo wall-clock fields.
@@ -54,21 +106,23 @@ fn assert_reports_identical(a: &SoundnessReport, b: &SoundnessReport, what: &str
 
 #[test]
 fn optimized_pipeline_results_are_identical_across_job_counts() {
+    let registry = mixed_registry();
     let retry = RetryPolicy::attempts(2);
-    let baseline = run(1, retry, SolverTuning::default());
-    assert!(baseline.all_sound(), "{baseline}");
+    let baseline = run(&registry, 1, retry, SolverTuning::default());
+    assert_mixed_verdicts(&baseline);
     for jobs in [4, 8] {
-        let parallel = run(jobs, retry, SolverTuning::default());
+        let parallel = run(&registry, jobs, retry, SolverTuning::default());
         assert_reports_identical(&baseline, &parallel, &format!("jobs={jobs}"));
     }
 }
 
 #[test]
-fn legacy_and_optimized_tunings_agree_on_verdicts_and_search_counters() {
+fn legacy_and_optimized_tunings_agree_on_verdicts_and_prune_the_search() {
+    let registry = mixed_registry();
     let retry = RetryPolicy::attempts(2);
-    let legacy = run(1, retry, SolverTuning::legacy());
-    let optimized = run(1, retry, SolverTuning::default());
-    assert!(legacy.all_sound(), "{legacy}");
+    let legacy = run(&registry, 1, retry, SolverTuning::legacy());
+    let optimized = run(&registry, 1, retry, SolverTuning::default());
+    assert_mixed_verdicts(&legacy);
     assert_eq!(legacy.reports.len(), optimized.reports.len());
     for (rl, ro) in legacy.reports.iter().zip(&optimized.reports) {
         assert_eq!(rl.qualifier, ro.qualifier);
@@ -77,9 +131,11 @@ fn legacy_and_optimized_tunings_agree_on_verdicts_and_search_counters() {
             assert_eq!(ol.description, oo.description);
             assert_eq!(ol.proved, oo.proved, "{}", ol.description);
             assert_eq!(ol.countermodel, oo.countermodel, "{}", ol.description);
+            assert_eq!(ol.resource, oo.resource, "{}", ol.description);
             assert_eq!(ol.attempts, oo.attempts, "{}", ol.description);
-            // The entire DPLL + E-matching search trace must be
-            // reproduced step for step by the optimized representation.
+            // Both searches reach the same first theory-consistent leaf
+            // every round, so the E-matching trace and the clause set
+            // are reproduced step for step.
             let (sl, so) = (&ol.stats, &oo.stats);
             assert_eq!(sl.rounds, so.rounds, "{}", ol.description);
             assert_eq!(sl.instantiations, so.instantiations, "{}", ol.description);
@@ -89,14 +145,45 @@ fn legacy_and_optimized_tunings_agree_on_verdicts_and_search_counters() {
                 ol.description
             );
             assert_eq!(sl.ematch_candidates, so.ematch_candidates, "{}", ol.description);
-            assert_eq!(sl.decisions, so.decisions, "{}", ol.description);
-            assert_eq!(sl.propagations, so.propagations, "{}", ol.description);
-            assert_eq!(sl.conflicts, so.conflicts, "{}", ol.description);
-            assert_eq!(sl.theory_checks, so.theory_checks, "{}", ol.description);
             assert_eq!(sl.clauses, so.clauses, "{}", ol.description);
             assert_eq!(sl.max_clauses, so.max_clauses, "{}", ol.description);
+            // The pruned search visits a subset of the legacy search's
+            // nodes, and a pruned node's one conflict stands for a
+            // subtree that held at least one, so it never does more
+            // search work.
+            assert!(
+                so.decisions <= sl.decisions,
+                "{}: {so:?} vs {sl:?}",
+                ol.description
+            );
+            assert!(
+                so.propagations <= sl.propagations,
+                "{}: {so:?} vs {sl:?}",
+                ol.description
+            );
+            assert!(
+                so.conflicts <= sl.conflicts,
+                "{}: {so:?} vs {sl:?}",
+                ol.description
+            );
+            // Its full-leaf checks are a subset of the legacy ones too,
+            // but each decision and each pruned node adds one node check:
+            // where nothing can be pruned the total exceeds the legacy
+            // count, by at most that many.
+            assert!(
+                so.theory_checks <= sl.theory_checks + so.decisions + so.conflicts,
+                "{}: {so:?} vs {sl:?}",
+                ol.description
+            );
         }
     }
+    // Pruning must actually happen somewhere in the library.
+    assert!(
+        optimized.totals.decisions < legacy.totals.decisions,
+        "{:?} vs {:?}",
+        optimized.totals,
+        legacy.totals
+    );
     // The preprocessing ledgers must show the modes really differed:
     // legacy re-clausifies the axioms per attempt, the optimized path
     // never does (one worker, theory prepared before the run).
@@ -121,7 +208,7 @@ fn injected_resource_faults_keep_results_identical_across_job_counts() {
     let mut baseline: Option<SoundnessReport> = None;
     for jobs in [1usize, 4, 8] {
         fault::install(plan.clone());
-        let report = run(jobs, retry, SolverTuning::default());
+        let report = run(&Registry::builtins(), jobs, retry, SolverTuning::default());
         fault::clear();
         assert!(report.all_sound(), "jobs={jobs}: {report}");
         let attempts: u32 = report
@@ -164,7 +251,12 @@ fn injected_crashes_are_contained_identically_at_every_job_count() {
         .inject(7, FaultKind::TheoryError);
     for jobs in [1usize, 4, 8] {
         fault::install(plan.clone());
-        let report = run(jobs, RetryPolicy::none(), SolverTuning::default());
+        let report = run(
+            &Registry::builtins(),
+            jobs,
+            RetryPolicy::none(),
+            SolverTuning::default(),
+        );
         fault::clear();
         let crashed = report
             .reports

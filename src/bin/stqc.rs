@@ -65,8 +65,10 @@
 //! * `--keep-going` continues past crashed qualifiers (`prove`) and
 //!   past syntax errors (`check`, via the error-resilient parser);
 //! * `--fault-panic-at N` / `--fault-resource-out-at N` /
-//!   `--fault-theory-at N` inject a deterministic fault at the `N`th
-//!   solver entry — testing hooks for the fault-injection harness.
+//!   `--fault-theory-at N` / `--fault-stall-at N` inject a
+//!   deterministic fault at the `N`th solver entry — testing hooks for
+//!   the fault-injection harness. A stalled entry parks until the run
+//!   is cancelled (Ctrl-C or `--deadline-ms`).
 //!
 //! Exit codes are structured: 0 success, 1 unsound/refuted (or
 //! qualifier errors from `check`), 2 usage errors, 3 input errors
@@ -145,6 +147,8 @@ robustness flags (see docs/robustness.md):
   --fault-panic-at N        inject a panic at the Nth solver entry
   --fault-resource-out-at N inject ResourceOut at the Nth solver entry
   --fault-theory-at N       inject a theory error at the Nth solver entry
+  --fault-stall-at N        park the Nth solver entry until the run is
+                            cancelled (Ctrl-C or --deadline-ms)
 
 fuzzing flags (fuzz; see docs/testing.md):
   --seed N                  campaign seed (deterministic per seed/count)
@@ -413,7 +417,8 @@ fn session_from(args: &[String]) -> Result<Cli, CliError> {
             }
             flag @ ("--max-rounds" | "--max-instantiations" | "--max-decisions"
             | "--max-clauses" | "--timeout-ms" | "--deadline-ms" | "--retry" | "--retry-factor"
-            | "--jobs" | "--fault-panic-at" | "--fault-resource-out-at" | "--fault-theory-at") => {
+            | "--jobs" | "--fault-panic-at" | "--fault-resource-out-at" | "--fault-theory-at"
+            | "--fault-stall-at") => {
                 let value = args
                     .get(i + 1)
                     .ok_or_else(|| usage_err(format!("{flag} needs a number")))?;
@@ -432,6 +437,7 @@ fn session_from(args: &[String]) -> Result<Cli, CliError> {
                     "--jobs" => jobs = Some(n),
                     "--fault-panic-at" => plan = plan.inject(n, FaultKind::Panic),
                     "--fault-resource-out-at" => plan = plan.inject(n, FaultKind::ResourceOut),
+                    "--fault-stall-at" => plan = plan.inject(n, FaultKind::Stall),
                     _ => plan = plan.inject(n, FaultKind::TheoryError),
                 }
                 i += 2;

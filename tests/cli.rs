@@ -667,7 +667,10 @@ fn interrupted_run_does_not_poison_the_cache() {
 #[cfg(unix)]
 #[test]
 fn sigint_yields_partial_report_and_resume_hits_the_cache() {
+    use std::io::{BufRead, BufReader, Read};
     use std::process::Stdio;
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::time::{Duration, Instant};
 
     let quals = temp_file("heavy-sigint.q", &heavy_quals(64));
     let dir = temp_dir("sigint-resume");
@@ -680,26 +683,66 @@ fn sigint_yields_partial_report_and_resume_hits_the_cache() {
         "--stats",
     ];
 
-    let child = Command::new(env!("CARGO_BIN_EXE_stqc"))
+    // One worker runs the obligations in entry order, and solver entry 40
+    // parks until the run is cancelled: the signal always lands mid-run,
+    // after entries 0-39 concluded and before the rest started.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_stqc"))
         .args(args)
+        .args(["--jobs", "1", "--fault-stall-at", "40"])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .expect("stqc spawns");
-    // Long enough for the handler to be installed and a few obligations
-    // to finish, short enough that the ~64-qualifier run (about a second
-    // even on the optimized cold path) is still going.
-    std::thread::sleep(std::time::Duration::from_millis(300));
-    let sent = Command::new("kill")
-        .args(["-INT", &child.id().to_string()])
-        .status()
-        .expect("kill runs")
-        .success();
-    assert!(sent, "SIGINT delivered");
-    let out = child.wait_with_output().expect("stqc exits");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(5), "{stdout}\n{stderr}");
+    let mut stdout_pipe = child.stdout.take().expect("stdout is piped");
+    let stdout_reader = std::thread::spawn(move || {
+        let mut out = String::new();
+        stdout_pipe.read_to_string(&mut out).expect("stdout reads");
+        out
+    });
+    let stderr_pipe = child.stderr.take().expect("stderr is piped");
+    let (lines_tx, lines) = std::sync::mpsc::channel();
+    let stderr_reader = std::thread::spawn(move || {
+        for line in BufReader::new(stderr_pipe).lines() {
+            if lines_tx.send(line.expect("stderr reads")).is_err() {
+                break;
+            }
+        }
+    });
+    // Read stderr until stqc exits and closes it, sending SIGINT at the
+    // stall marker. Backstop: a regression fails the test instead of
+    // hanging the suite.
+    let limit = Instant::now() + Duration::from_secs(120);
+    let mut stderr = String::new();
+    let mut signalled = false;
+    loop {
+        let wait = limit.saturating_duration_since(Instant::now());
+        match lines.recv_timeout(wait) {
+            Ok(line) => {
+                if !signalled && line.contains("injected stall at solver entry 40") {
+                    let sent = Command::new("kill")
+                        .args(["-INT", &child.id().to_string()])
+                        .status()
+                        .expect("kill runs")
+                        .success();
+                    assert!(sent, "SIGINT delivered");
+                    signalled = true;
+                }
+                stderr.push_str(&line);
+                stderr.push('\n');
+            }
+            Err(RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("stqc still running after the limit (signalled: {signalled}): {stderr}")
+            }
+        }
+    }
+    assert!(signalled, "stqc exited before the stall marker: {stderr}");
+    let status = child.wait().expect("stqc exits");
+    stderr_reader.join().expect("stderr reader");
+    let stdout = stdout_reader.join().expect("stdout reader");
+    assert_eq!(status.code(), Some(5), "{stdout}\n{stderr}");
     assert!(stdout.contains("run interrupted"), "{stdout}");
     assert!(stderr.contains("interrupted"), "{stderr}");
 
